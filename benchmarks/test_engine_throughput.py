@@ -2,8 +2,8 @@
 
 Measures the three performance layers this repo's engine stacks:
 
-1. **Scheduler throughput** — simulator instructions/second of the
-   event-heap GTO scheduler, alongside the retained linear-scan
+1. **Scheduler throughput** — simulator instructions/second of
+   :class:`~repro.sim.core.SmSimulator`'s fast path, alongside the retained linear-scan
    reference so the rewrite's speedup is tracked release over release.
 2. **Trace cache** — hit rate over a fig12-style (benchmark ×
    mechanism) grid, where four mechanisms share each synthesis.

@@ -1,7 +1,7 @@
 """Bench: columnar simulator throughput → ``BENCH_sim.json``.
 
 Measures the columnar data plane (and its C executor, when a toolchain
-is present) against the pinned scalar pipeline over the Figure 12
+is present) against the linear-scan oracle over the Figure 12
 profile set, one cell per (benchmark × timing model):
 
 1. **Equivalence gate.**  Every cell first simulates cold under both
@@ -47,7 +47,7 @@ trace sizes for CI smoke runs.  The document lands in
    the whole grid is timed against per-call dispatch
    (``native_batch``), and the process's compile/cache/batch
    accounting (``CODEGEN_STATS``: compile seconds, disk/memo hits,
-   cells, max batch/threads) is archived under ``codegen``.
+   cells, max batch) is archived under ``codegen``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from conftest import OUT_DIR, record_run
 from repro.experiments import run_fig12
 from repro.experiments.engine import model_factory
 from repro.sim import SmSimulator, native_available, reference_simulate
-from repro.sim.codegen import CODEGEN_STATS, resolve_threads
+from repro.sim.codegen import CODEGEN_STATS
 from repro.telemetry.progress import ProgressBoard
 from repro.telemetry.runtime import SAMPLE_ENV, TELEMETRY
 from repro.telemetry.server import ObservabilityServer
@@ -220,7 +220,6 @@ def _batched_native(traces):
     return {
         "cells": len(requests),
         "records": records,
-        "threads": resolve_threads(len(requests)),
         "single_records_per_second": round(records / single),
         "batch_records_per_second": round(records / batch),
         "batch_speedup": round(single / batch, 3),

@@ -5,6 +5,7 @@ Usage::
     python -m repro.experiments            # full run (~1 minute)
     python -m repro.experiments --fast     # reduced trace sizes
     python -m repro.experiments fig4 table3   # selected experiments
+    python -m repro.experiments --help        # this text
 
 Performance flags::
 
@@ -13,10 +14,7 @@ Performance flags::
 
 ``--jobs N`` shards the simulation-backed artefacts (fig12, fig13,
 table2) over N work-stealing worker processes; outputs are
-byte-identical for any N.  ``--batch N`` (or ``REPRO_SIM_BATCH``;
-default 8) sets how many serial-path jobs cross the native FFI per
-call — ``--batch 1`` restores the one-job-at-a-time loop; outputs are
-byte-identical for any batch width.  ``--trace-cache DIR`` (or
+byte-identical for any N.  ``--trace-cache DIR`` (or
 ``REPRO_TRACE_CACHE``) persists synthesized kernel traces, so
 repeated runs skip synthesis entirely.
 
@@ -65,6 +63,8 @@ read-only over telemetry state, so ``--metrics``/``--trace`` exports
 stay byte-identical to a no-server run.  ``REPRO_SERVE_LINGER=SECS``
 keeps the server (and process) alive that long after the experiments
 finish, so scrapers racing a short run still get their snapshot.
+
+Any other flag is an error (exit 2).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from ..telemetry.runtime import TELEMETRY
 from ..telemetry.server import ObservabilityServer, port_from_env
 from ..workloads import configure_trace_cache
 
-from .engine import BATCH_ENV
 from .fabric import (
     CELL_CACHE_ENV,
     SHARD_ENV,
@@ -174,7 +173,7 @@ class _CliOptions:
         self.ledger_path: Optional[str] = None
         self.trace_cache_dir: Optional[str] = None
         self.jobs = 1
-        self.batch: Optional[int] = None
+        self.help = False
         self.serve_port: Optional[int] = None
         self.cell_cache_dir: Optional[str] = None
         self.shard: Optional[str] = None
@@ -187,12 +186,15 @@ def _parse_args(argv) -> _CliOptions:
     """Hand-rolled parse (argparse-free, as the seed CLI was)."""
     options = _CliOptions()
     value_flags = (
-        "--metrics", "--trace", "--jobs", "--batch", "--trace-cache",
+        "--metrics", "--trace", "--jobs", "--trace-cache",
         "--ledger", "--serve", "--cell-cache", "--shard",
     )
     index = 0
     while index < len(argv):
         arg = argv[index]
+        if arg in ("-h", "--help"):
+            options.help = True
+            return options
         if arg == "--fast":
             options.fast = True
         elif arg == "--verbose-telemetry":
@@ -208,7 +210,7 @@ def _parse_args(argv) -> _CliOptions:
                 flag = arg
                 if index + 1 >= len(argv):
                     metavar = (
-                        "N" if flag in ("--jobs", "--batch")
+                        "N" if flag == "--jobs"
                         else "PORT" if flag == "--serve"
                         else "PATH"
                     )
@@ -239,17 +241,6 @@ def _parse_args(argv) -> _CliOptions:
                 if not 0 <= options.serve_port <= 65535:
                     options.error = "--serve port must be in [0, 65535]"
                     return options
-            elif flag == "--batch":
-                try:
-                    options.batch = int(value)
-                except ValueError:
-                    options.error = (
-                        f"--batch expects an integer, got {value!r}"
-                    )
-                    return options
-                if options.batch < 1:
-                    options.error = "--batch must be >= 1"
-                    return options
             else:  # --jobs
                 try:
                     options.jobs = int(value)
@@ -260,7 +251,11 @@ def _parse_args(argv) -> _CliOptions:
                     options.error = "--jobs must be >= 1"
                     return options
         elif arg.startswith("-"):
-            pass  # unknown flags are ignored, as before
+            options.error = (
+                f"unknown option {arg!r} "
+                "(python -m repro.experiments --help lists the flags)"
+            )
+            return options
         else:
             options.selected.append(arg)
         index += 1
@@ -299,6 +294,9 @@ def _serve_linger_seconds() -> float:
 
 def main(argv) -> int:
     options = _parse_args(argv)
+    if options.help:
+        print(__doc__)
+        return 0
     if options.error:
         print(options.error)
         return 2
@@ -308,11 +306,6 @@ def main(argv) -> int:
     trace_path = options.trace_path
     if options.trace_cache_dir:
         configure_trace_cache(disk_dir=options.trace_cache_dir)
-    if options.batch is not None:
-        # The engine reads the env at each run_sim_jobs call, so the
-        # flag reaches every experiment driver without threading a
-        # parameter through each of them.
-        os.environ[BATCH_ENV] = str(options.batch)
     if options.cell_cache_dir:
         os.environ[CELL_CACHE_ENV] = options.cell_cache_dir
     if options.shard:

@@ -28,14 +28,11 @@ stays **byte-identical** to the serial run:
   span whose ``tid`` is the submission index, giving the Perfetto
   export one track per job.
 * **Batched native dispatch.**  The serial path prepares jobs in
-  groups (``--batch`` / ``REPRO_SIM_BATCH``, default 8) and ships
-  every plan-bearing job of a group through *one*
-  :func:`~repro.sim.native.run_native_batch` FFI crossing — grouped
-  by codegen cell, fanned over threads when the kernel was compiled
-  with OpenMP/pthread support.  Telemetry publication still happens
-  per job, in submission order, inside each job's span, so exports
-  are byte-identical at any batch width (``--batch 1`` restores the
-  historical loop exactly).
+  groups of 8 and ships every plan-bearing job of a group through
+  *one* :func:`~repro.sim.native.run_native_batch` FFI crossing per
+  codegen cell.  Telemetry publication still happens per job, in
+  submission order, inside each job's span, so exports are
+  byte-identical to the fabric's one-job-at-a-time path.
 * **Trace reuse.**  Jobs synthesize through the content-addressed
   :mod:`~repro.workloads.trace_cache`, so the four mechanisms of one
   benchmark share a single synthesis (and, with ``--trace-cache``, so
@@ -60,9 +57,11 @@ stays **byte-identical** to the serial run:
   ``--metrics``/``--trace`` exports stay byte-identical at any job
   count (the board never touches telemetry state).  Independently of
   tracking, each job's per-phase wall time (``trace_expand`` /
-  ``compile`` / ``sim``) is measured in :func:`_execute_job`, shipped
-  back on the :class:`JobResult`, and folded into the board's phase
-  aggregates — which the CLI deltas into the run ledger.
+  ``compile`` / ``sim``) is measured where the job runs
+  (:func:`_execute_job` on the fabric, :func:`_run_serial_batched`
+  serially), shipped back on the :class:`JobResult`, and folded into
+  the board's phase aggregates — which the CLI deltas into the run
+  ledger.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ from ..sim.tracefile import dump_trace_npz, load_trace_npz
 from ..telemetry.progress import PROGRESS
 from ..telemetry.runtime import TELEMETRY
 from ..telemetry.tracectx import (
-    bind_trace,
     current_trace_id,
     new_trace_id,
     record_job_trace,
@@ -115,9 +113,6 @@ ResultT = TypeVar("ResultT")
 #: sees every event and can re-apply its own sampling/overflow policy.
 _WORKER_RING_CAPACITY = 1 << 30
 
-#: Environment variable selecting the serial-path native batch width.
-BATCH_ENV = "REPRO_SIM_BATCH"
-
 #: Environment variable disabling per-job trace waterfalls (they are
 #: diagnostics-only and cheap — one id mint plus a few dict writes per
 #: job — so they default on).
@@ -132,28 +127,10 @@ def _tracing_enabled() -> bool:
         "on",
     )
 
-#: Default batch width: covers all four mechanisms of one benchmark
+#: Serial batch width: covers all four mechanisms of one benchmark
 #: (the common job grouping) twice over without holding an unbounded
 #: number of prepared simulators alive.
-_DEFAULT_BATCH = 8
-
-
-def resolve_batch_size(choice: Optional[int] = None) -> int:
-    """Effective serial batch width.
-
-    *choice* wins when given; otherwise ``REPRO_SIM_BATCH`` (empty or
-    ``auto`` → the default, unparsable → the default, ``1`` disables
-    batching and restores the historical one-job-at-a-time loop).
-    """
-    if choice is None:
-        raw = os.environ.get(BATCH_ENV, "").strip().lower()
-        if raw in ("", "auto"):
-            return _DEFAULT_BATCH
-        try:
-            choice = int(raw)
-        except ValueError:
-            return _DEFAULT_BATCH
-    return max(1, choice)
+_BATCH_WIDTH = 8
 
 
 def model_factory(name: str) -> TimingModel:
@@ -324,8 +301,8 @@ def _job_span(job: SimJob, index: int):
     ``tid`` is the submission index, so the Perfetto export renders
     one track per job regardless of which worker process ran it —
     and the span placement is identical between the serial path
-    (around live execution) and the fan-out path (around the replay),
-    preserving clock determinism.
+    (around each job's end-of-run publication) and the fabric (around
+    the replay), preserving clock determinism.
     """
     return TELEMETRY.span(
         f"job:{job.benchmark}:{job.mechanism}",
@@ -354,7 +331,7 @@ class _BatchEntry:
     index: int
     simulator: SmSimulator
     trace: KernelTrace
-    plan: object  # IssuePlan, or None → scalar pipeline
+    plan: object  # IssuePlan, or None → the oracle's scan loop
     stats: SimStats
     events: Optional[list]
     every: int
@@ -366,17 +343,17 @@ class _BatchEntry:
 def _finish_batch_entry(entry: _BatchEntry, run_columnar) -> None:
     """Complete one prepared job (caller wraps this in its span).
 
-    Plan-less entries run the scalar pipeline (which publishes its
-    telemetry live, exactly like an unbatched run); native-refused
-    entries run the Python issue loop.  Either way the fast path's
-    end-of-run publication happens here — inside the job span — so
-    the logical clock and registry sequence match the unbatched
-    serial path event for event.
+    Plan-less entries run the oracle's scan loop (which publishes its
+    counters itself, exactly like an unbatched run); native-refused
+    entries run the Python issue loop.  Either way the end-of-run
+    publication happens here — inside the job span — so the logical
+    clock and registry sequence match the per-job path event for
+    event.
     """
     simulator = entry.simulator
     if entry.plan is None:
         started = time.perf_counter()
-        result = simulator._run_scalar(entry.trace)
+        result = simulator._run_oracle(entry.trace)
         entry.phases["sim"] = time.perf_counter() - started
         entry.cycles = result.cycles
         entry.stats = result.stats
@@ -405,22 +382,21 @@ def _run_serial_batched(
     job_list: Sequence[SimJob],
     job_ids: Sequence[object],
     config: GpuConfig,
-    batch: int,
     telemetry_wanted: bool,
     board,
     trace_ids: Optional[Sequence[Optional[str]]] = None,
 ) -> List[JobResult]:
     """Serial execution with cross-trace native batching.
 
-    Jobs are prepared *batch* at a time — trace (one deduped cache
-    pass per group), simulator, issue plan, telemetry decisions — and
-    every plan-bearing job in the group crosses the FFI in a single
-    :func:`~repro.sim.native.run_native_batch` call (grouped by
-    codegen cell, optionally threaded).  Completion then proceeds in
+    Jobs are prepared :data:`_BATCH_WIDTH` at a time — trace (one
+    deduped cache pass per group), simulator, issue plan, telemetry
+    decisions — and every plan-bearing job in the group crosses the
+    FFI in a single :func:`~repro.sim.native.run_native_batch` call
+    (grouped by codegen cell).  Completion then proceeds in
     submission order: each job's telemetry publication (and any
-    scalar/columnar fallback execution) happens inside its own
+    oracle/columnar fallback execution) happens inside its own
     ``job:`` span, so ``--metrics``/``--trace`` exports are
-    byte-identical to the unbatched serial path at any batch width.
+    byte-identical to the fabric's per-job path.
     The batched FFI call's wall time is attributed across its jobs
     proportionally to instruction count for the live plane's phase
     aggregates.
@@ -429,9 +405,9 @@ def _run_serial_batched(
     from ..sim.native import run_native_batch
 
     results: List[JobResult] = []
-    for start in range(0, len(job_list), batch):
-        group = job_list[start : start + batch]
-        group_ids = job_ids[start : start + batch]
+    for start in range(0, len(job_list), _BATCH_WIDTH):
+        group = job_list[start : start + _BATCH_WIDTH]
+        group_ids = job_ids[start : start + _BATCH_WIDTH]
         for job_id in group_ids:
             board.job_running(job_id)
         started = time.perf_counter()
@@ -446,13 +422,11 @@ def _run_serial_batched(
             phases: Dict[str, float] = {"trace_expand": trace_seconds}
             started = time.perf_counter()
             simulator = SmSimulator(config, model_factory(job.mechanism))
-            plan = None
-            if simulator.engine == "columnar":
-                plan = simulator._fast_plan(trace)
-                if plan is not None and not plan.runs:
-                    # Empty trace: the scalar pipeline raises the
-                    # same SimulationError run() would.
-                    plan = None
+            plan = simulator._fast_plan(trace)
+            if plan is not None and not plan.runs:
+                # Empty trace: the oracle raises the same
+                # SimulationError run() would.
+                plan = None
             stats = SimStats()
             if plan is not None:
                 _, events, every, phase = simulator._fast_telemetry(trace)
@@ -530,7 +504,6 @@ def run_jobs_batched(
     jobs: Iterable[SimJob],
     *,
     config: GpuConfig = DEFAULT_GPU_CONFIG,
-    batch_size: Optional[int] = None,
 ) -> List[JobResult]:
     """Execute *jobs* on the serial batched native path, nothing else.
 
@@ -550,12 +523,10 @@ def run_jobs_batched(
     job_list = list(jobs)
     if not job_list:
         return []
-    batch = resolve_batch_size(batch_size)
     return _run_serial_batched(
         job_list,
         [None] * len(job_list),
         config,
-        batch,
         False,  # never touch the global telemetry hub
         PROGRESS,  # None job ids: every board transition is a no-op
     )
@@ -566,7 +537,6 @@ def run_sim_jobs(
     *,
     config: GpuConfig = DEFAULT_GPU_CONFIG,
     n_jobs: int = 1,
-    batch_size: Optional[int] = None,
 ) -> List[JobResult]:
     """Execute *jobs*, fanning out over processes when ``n_jobs > 1``.
 
@@ -574,13 +544,9 @@ def run_sim_jobs(
     order; telemetry (when enabled) is replayed in the same order, so
     exports are byte-identical across ``n_jobs`` settings.
 
-    On the serial path, jobs are dispatched *batch_size* at a time
-    (default :func:`resolve_batch_size` → ``REPRO_SIM_BATCH`` or 8)
-    through the generated native kernels — one FFI crossing per
-    codegen cell per group — which amortizes call overhead and lets
-    the threaded kernels run traces concurrently.  ``batch_size=1``
-    restores the historical one-job loop; outputs are byte-identical
-    either way.
+    On the serial path, jobs are dispatched in groups of
+    :data:`_BATCH_WIDTH` through the generated native kernels — one
+    FFI crossing per codegen cell per group.
     """
     job_list = list(jobs)
     workers = _effective_workers(n_jobs, len(job_list))
@@ -616,57 +582,14 @@ def run_sim_jobs(
             shard=shard,
             trace_ids=trace_ids,
         )
-    batch = resolve_batch_size(batch_size)
-    if batch > 1 and len(job_list) > 1:
-        return _run_serial_batched(
-            job_list,
-            job_ids,
-            config,
-            batch,
-            telemetry_wanted,
-            board,
-            trace_ids=trace_ids,
-        )
-
-    def _record(result: JobResult) -> None:
-        if result.trace_id is not None:
-            record_job_trace(
-                result.trace_id,
-                phases=result.phases,
-                attrs={
-                    "benchmark": result.job.benchmark,
-                    "mechanism": result.job.mechanism,
-                    "origin": "engine.serial",
-                },
-            )
-
-    if not telemetry_wanted:
-        serial_results = []
-        for index, (job, job_id) in enumerate(zip(job_list, job_ids)):
-            board.job_running(job_id)
-            with bind_trace(trace_ids[index] if trace_ids else None):
-                result = _execute_job(job, config)
-            board.record_phases(result.phases)
-            board.job_finished(job_id)
-            _record(result)
-            serial_results.append(result)
-        return serial_results
-    # One span per job, tid = submission index.  The fabric opens the
-    # *same* spans around each job's telemetry replay, so the logical
-    # clock advances identically and --metrics/--trace artifacts stay
-    # byte-identical across --jobs values — while Perfetto renders one
-    # track per job.
-    serial_results: List[JobResult] = []
-    for index, job in enumerate(job_list):
-        board.job_running(job_ids[index])
-        with _job_span(job, index):
-            with bind_trace(trace_ids[index] if trace_ids else None):
-                result = _execute_job(job, config)
-        board.record_phases(result.phases)
-        board.job_finished(job_ids[index])
-        _record(result)
-        serial_results.append(result)
-    return serial_results
+    return _run_serial_batched(
+        job_list,
+        job_ids,
+        config,
+        telemetry_wanted,
+        board,
+        trace_ids=trace_ids,
+    )
 
 
 def _fan_worker(payload):
@@ -700,10 +623,8 @@ def fan_out(
 __all__ = [
     "SimJob",
     "JobResult",
-    "BATCH_ENV",
     "TRACE_DISABLE_ENV",
     "model_factory",
-    "resolve_batch_size",
     "run_jobs_batched",
     "run_sim_jobs",
     "fan_out",

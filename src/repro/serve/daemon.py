@@ -18,9 +18,9 @@ simulating anything —
    is already in flight attaches to the existing future and shares one
    computation.  Distinct cells are micro-batched: the batcher
    collects up to ``REPRO_SERVE_MAX_BATCH`` cells within a
-   ``REPRO_SERVE_WINDOW_MS`` deadline window, so one FFI crossing
-   amortises across the batch exactly as the engine's ``--batch`` path
-   does.
+   ``REPRO_SERVE_WINDOW_MS`` deadline window, so FFI crossings
+   amortise across the batch exactly as on the engine's serial path
+   (one crossing per codegen cell per 8 cells).
 3. **Result cache** — a per-daemon in-memory LRU of cell records in
    front of the shared on-disk :class:`~repro.experiments.fabric.CellCache`
    (``REPRO_SERVE_CACHE``, falling back to ``REPRO_CELL_CACHE``).  The
@@ -786,7 +786,6 @@ class ServeDaemon:
             results = run_jobs_batched(
                 [work.request.job for work in group],
                 config=config,
-                batch_size=self.max_batch,
             )
             for work, result in zip(group, results):
                 if work.trace_id is not None:

@@ -4,7 +4,6 @@ from .cache import (
     ArrayLruCache,
     CacheStats,
     SetAssociativeCache,
-    cache_for_engine,
 )
 from .columnar import (
     ColumnarTrace,
@@ -18,11 +17,9 @@ from .core import (
     SimResult,
     SimStats,
     SmSimulator,
-    expanded_streams,
-    resolve_sim_engine,
     simulate,
 )
-from .codegen import CODEGEN_STATS, CellSpec, load_cell, resolve_threads
+from .codegen import CODEGEN_STATS, CellSpec, load_cell
 from .dram import DramModel, DramStats
 from .native import (
     NATIVE_DIAG,
@@ -50,7 +47,6 @@ __all__ = [
     "ArrayLruCache",
     "CacheStats",
     "SetAssociativeCache",
-    "cache_for_engine",
     "ColumnarTrace",
     "IssuePlan",
     "columnar_of",
@@ -60,15 +56,12 @@ __all__ = [
     "SimResult",
     "SimStats",
     "SmSimulator",
-    "expanded_streams",
-    "resolve_sim_engine",
     "simulate",
     "ReferenceSmSimulator",
     "reference_simulate",
     "CODEGEN_STATS",
     "CellSpec",
     "load_cell",
-    "resolve_threads",
     "DramModel",
     "DramStats",
     "NATIVE_DIAG",

@@ -4,11 +4,10 @@ Two implementations share one contract (identical hit/miss and
 eviction sequences for any address stream):
 
 * :class:`SetAssociativeCache` — the historical per-set
-  ``OrderedDict`` model, used by the scalar pipeline and the locked
-  reference scheduler.
-* :class:`ArrayLruCache` — the array-backed model of the columnar
-  engine: every set is a dense, pre-allocated recency row (index 0 =
-  LRU, last = MRU), so lookups, promotions and evictions are C-level
+  ``OrderedDict`` model, used by the locked reference scheduler.
+* :class:`ArrayLruCache` — the array-backed model every
+  :class:`~repro.sim.core.SmSimulator` uses: every set is a dense,
+  pre-allocated recency row (index 0 = LRU, last = MRU), so lookups, promotions and evictions are C-level
   list primitives and a whole coalesced-transaction run can be served
   through one :meth:`~ArrayLruCache.access_run` call.  The columnar
   simulator additionally inlines the row manipulation directly into
@@ -137,8 +136,8 @@ class ArrayLruCache:
     an O(ways) positional scan, no penalty for the 24-way L2.  The
     hit/miss and eviction sequence is identical to
     :class:`SetAssociativeCache` for any address stream (locked by the
-    cache-equivalence tests), which is what lets the columnar and
-    scalar pipelines share warm-cache semantics.
+    cache-equivalence tests), which is what lets the fast path and the
+    oracle's scan loop share warm-cache semantics.
     """
 
     def __init__(self, config: CacheConfig, name: str = "cache") -> None:
@@ -301,11 +300,3 @@ class ArrayLruCache:
         """Configured hit latency in cycles."""
         return self.config.hit_latency
 
-
-def cache_for_engine(
-    engine: str, config: CacheConfig, name: str = "cache"
-):
-    """Cache instance matching a simulation engine's data plane."""
-    if engine == "columnar":
-        return ArrayLruCache(config, name)
-    return SetAssociativeCache(config, name)

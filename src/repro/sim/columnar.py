@@ -1,10 +1,10 @@
 """Columnar trace substrate and vectorized data plane for the timing
 simulator.
 
-The scalar pipeline walks Python lists of frozen
-:class:`~repro.sim.trace.TraceInstruction` dataclasses — one attribute
-lookup per field per dynamic instruction.  This module rebuilds that
-data plane as structure-of-arrays:
+A loop over Python lists of frozen
+:class:`~repro.sim.trace.TraceInstruction` dataclasses pays one
+attribute lookup per field per dynamic instruction.  This module
+rebuilds that data plane as structure-of-arrays:
 
 * :class:`ColumnarTrace` — NumPy columns for op-class codes, dependency
   and checked flags, plus CSR-packed per-instruction coalesced line
@@ -34,9 +34,9 @@ data plane as structure-of-arrays:
   probes.  Everything else — entire ALU/shared runs — collapses to
   O(1) per run.
 
-Cycle-for-cycle and stat-for-stat equivalence with the scalar pipeline
-(and the linear-scan ground truth in :mod:`repro.sim.reference`) is
-locked by ``tests/test_sim_columnar_equivalence.py``.
+Cycle-for-cycle and stat-for-stat equivalence with the linear-scan
+ground truth in :mod:`repro.sim.reference` is locked by
+``tests/test_sim_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -464,7 +464,7 @@ def decode_issue_plan(
     final_extra = None
     if family == "lmi":
         # The OCU penalty rides on *every* checked instruction (the
-        # scalar model adds it regardless of op class).  Fixed-latency
+        # reference model adds it regardless of op class).  Fixed-latency
         # records absorb it here; checked records on the stateful
         # L1-path carry it through the sign-encoded ``comp_delta``.
         ocu = int(plan_key[1])
@@ -622,7 +622,7 @@ def plan_for(
     """The memoized issue plan for *model* on *trace* under *config*.
 
     Returns ``None`` for models without a columnar lowering (user
-    subclasses); the simulator then takes the scalar pipeline.  The
+    subclasses); the simulator then runs the oracle's scan loop.  The
     memo key covers the model family, its timing parameters and the
     config's cache/DRAM geometry, so distinct configs sharing one
     cached trace decode distinct plans.
@@ -669,8 +669,8 @@ def run_columnar(
     finish cycle.  Requires the simulator's L1/L2 (and, for GPUShield,
     the model's RCache) to be :class:`~repro.sim.cache.ArrayLruCache`
     instances — their dense rows are manipulated inline;
-    :class:`~repro.sim.core.SmSimulator` guarantees that under the
-    columnar engine.
+    :class:`~repro.sim.core.SmSimulator` guarantees that for every run
+    it hands a plan.
 
     When *events* is a list, the loop appends one ``(issue_cycle,
     warp, run_length)`` tuple per *sampled* issue run: the *k*-th run
@@ -690,9 +690,9 @@ def run_columnar(
     cycle to the bitmask of warps waking then, with a min-heap over
     the distinct bucket cycles.  Waking ORs a whole bucket into the
     ready mask at once (simultaneous wakes are one event, and warp
-    order within the mask preserves the scalar heap's oldest-first
-    tie-break), so wake handling is O(parks), independent of elapsed
-    simulated cycles.  Each iteration issues one whole run:
+    order within the mask preserves the oldest-first tie-break), so
+    wake handling is O(parks), independent of elapsed simulated
+    cycles.  Each iteration issues one whole run:
     fixed-latency runs collapse to O(1); runs touching global/local
     memory walk only their memory records through the pre-resolved
     geometry tuples.  When the issuing warp is the only ready one and
@@ -812,7 +812,7 @@ def run_columnar(
             # cycles.  Only the run-final record's latency is consumed
             # (earlier completions are overwritten by later issues);
             # mid-run records still mutate cache/DRAM state and the
-            # hit/miss counters, exactly as the scalar pipeline does.
+            # hit/miss counters, exactly as the reference loop does.
             rel_w = mem_rel_all[w]
             geom_w = mem_geom_all[w]
             if gpushield:
@@ -978,8 +978,8 @@ def run_columnar(
                 else:
                     buckets[complete] = prev | current_bit
         # Otherwise the warp stays ready (and current): the dependent
-        # result completes within the issue cycle, matching the scalar
-        # pipeline's `complete > clock` park condition.
+        # result completes within the issue cycle, so the warp never
+        # parks (a park needs `complete > clock`).
 
     stats.instructions = plan.total_instructions
     stats.issue_stall_cycles = stall_cycles

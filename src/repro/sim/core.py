@@ -12,100 +12,33 @@ hierarchy per coalesced transaction; extra transactions serialize at
 the LSU.  The active :class:`~repro.sim.timing.TimingModel` injects
 instructions (software schemes) and extra latencies (OCU, RCache).
 
-Scheduling data structure
--------------------------
-The issue loop is event-driven rather than scan-based: warps are
-partitioned into a *ready* set (``earliest_issue <= clock``, kept as a
-sorted index list so "oldest ready" is ``ready[0]``) and a *pending*
-min-heap keyed on each warp's exact next ``earliest_issue`` cycle.
-A warp's earliest-issue cycle only changes when it issues, so heap
-entries never go stale: after an issue the warp either stays ready
-(next instruction independent, or dependency already satisfied) or is
-pushed onto the heap with its dependency-completion cycle.  When no
-warp is ready, the clock jumps straight to the heap minimum.  This is
-cycle-for-cycle identical to the historical linear scan (retained in
-:mod:`repro.sim.reference` and locked by
-``tests/test_scheduler_equivalence.py``) while doing O(log W) work per
-issue slot instead of O(W).
+Execution paths
+---------------
+One oracle and one fast path.  Every run the columnar lowering
+understands is decoded into an :class:`~repro.sim.columnar.IssuePlan`
+and replayed by the generated C kernel (:mod:`repro.sim.native`), or
+by the pure-Python columnar issue loop when no kernel is available.
+A run the plan cannot lower — a timing model that overrides a
+decode-relevant hook, or a GPUShield model whose RCache is a warm
+:class:`~repro.sim.cache.SetAssociativeCache` — runs the linear-scan
+oracle of :mod:`repro.sim.reference` against this simulator's own
+L1/L2/DRAM, so warm state and a shared L2 carry across both paths.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import List, Optional
+from typing import Optional
 
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import SimulationError
 from ..telemetry import EventKind
 from ..telemetry.registry import MetricsRegistry
 from ..telemetry.runtime import TELEMETRY, resolve_sample_every, sample_phase
-from .cache import ArrayLruCache, cache_for_engine
+from .cache import ArrayLruCache
 from .dram import DramModel
-from .timing import (
-    ALU_LATENCY_CYCLES,
-    BaselineTiming,
-    SHARED_LATENCY_CYCLES,
-    TRANSACTION_CYCLES,
-    TimingModel,
-    expand_stream,
-)
-from .trace import KernelTrace, OpClass, TraceInstruction, trace_memo
-
-#: Base result latencies per op class (cycles).  Kept under their
-#: historical names — :mod:`repro.sim.reference` imports these — but
-#: sourced from the shared :mod:`repro.sim.timing` constants so the
-#: scalar, reference and columnar engines cannot drift apart.
-_ALU_LATENCY = {
-    OpClass.INT: ALU_LATENCY_CYCLES,
-    OpClass.FP: ALU_LATENCY_CYCLES,
-}
-_SHARED_LATENCY = SHARED_LATENCY_CYCLES
-#: Extra LSU serialization cycles per additional coalesced transaction.
-_TRANSACTION_CYCLES = TRANSACTION_CYCLES
-
-#: Hot-loop scalar copies of :data:`_ALU_LATENCY` (identity checks on
-#: the op avoid hashing enum members per instruction).
-_INT_LATENCY = _ALU_LATENCY[OpClass.INT]
-_FP_LATENCY = _ALU_LATENCY[OpClass.FP]
-
-#: Environment variable selecting the simulation engine.
-SIM_ENGINE_ENV = "REPRO_SIM"
-
-#: Recognized engine spellings → canonical engine name.
-_ENGINE_ALIASES = {
-    "": "columnar",
-    "default": "columnar",
-    "columnar": "columnar",
-    "vector": "columnar",
-    "vectorized": "columnar",
-    "fast": "columnar",
-    "reference": "reference",
-    "ref": "reference",
-    "scalar": "reference",
-}
-
-
-def resolve_sim_engine(choice: Optional[str] = None) -> str:
-    """Canonical simulation engine name for *choice*.
-
-    ``None`` consults the ``REPRO_SIM`` environment variable; an empty
-    or unset variable selects the columnar engine (the default data
-    plane).  ``REPRO_SIM=reference`` pins the historical scalar
-    pipeline.  Unknown names raise :class:`SimulationError` so typos
-    fail loudly instead of silently changing the measured engine.
-    """
-    if choice is None:
-        choice = os.environ.get(SIM_ENGINE_ENV, "")
-    canonical = _ENGINE_ALIASES.get(choice.strip().lower())
-    if canonical is None:
-        raise SimulationError(
-            "unknown simulation engine %r (expected one of %s)"
-            % (choice, ", ".join(sorted(set(_ENGINE_ALIASES) - {""})))
-        )
-    return canonical
+from .timing import BaselineTiming, TimingModel
+from .trace import KernelTrace
 
 
 @dataclass
@@ -163,59 +96,6 @@ class SimResult:
         return self.stats.instructions / self.cycles
 
 
-@dataclass
-class _WarpState:
-    stream: List[TraceInstruction]
-    position: int = 0
-    last_issue: int = -1
-    last_complete: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.position >= len(self.stream)
-
-    def earliest_issue(self, now: int) -> int:
-        instr = self.stream[self.position]
-        if instr.depends:
-            return max(self.last_complete, self.last_issue + 1)
-        return self.last_issue + 1
-
-
-def expanded_streams(
-    model: TimingModel, trace: KernelTrace
-) -> List[List[TraceInstruction]]:
-    """The per-warp streams *model* issues for *trace*, memoised.
-
-    Identity-expanding models (baseline, LMI, GPUShield) reuse the
-    trace's own streams — :func:`expand_stream` would only copy them.
-    Rewriting models with a stable
-    :meth:`~repro.sim.timing.TimingModel.expansion_key` (Baggy Bounds)
-    memoise the expanded streams on the trace's bounded
-    :class:`~repro.sim.trace.TraceMemo`, so the same trace simulated
-    under equal-keyed model instances expands once.  Memo keys are
-    namespaced by the model's class, so two model families emitting
-    equal content keys can never alias each other's entries, and the
-    memo's LRU cap bounds what a long-lived cached trace can accrete.
-    Instructions are immutable and the simulator never mutates
-    streams, so sharing is safe.
-    """
-    key = model.expansion_key()
-    if key == ("identity",):
-        return trace.warps
-    if key is None:
-        return [expand_stream(model, stream) for stream in trace.warps]
-    cls = type(model)
-    memo = trace_memo(trace)
-    memo_key = ("expand", cls.__module__, cls.__qualname__) + tuple(key)
-    streams = memo.get(memo_key)
-    if streams is None:
-        streams = memo.put(
-            memo_key,
-            [expand_stream(model, stream) for stream in trace.warps],
-        )
-    return streams
-
-
 class SmSimulator:
     """One warp-scheduler partition with its cache hierarchy.
 
@@ -224,87 +104,26 @@ class SmSimulator:
     the simulator), while cache/DRAM state intentionally persists
     across runs on the same instance (warm-cache semantics).
 
-    The *engine* argument selects the data plane: ``"columnar"`` (the
-    default, via :func:`resolve_sim_engine` / ``REPRO_SIM``) runs
-    supported timing models through the vectorized issue loop of
-    :mod:`repro.sim.columnar` over :class:`ArrayLruCache` state;
-    ``"reference"`` pins the historical scalar pipeline.  Both produce
-    identical cycles and statistics (locked by
-    ``tests/test_sim_columnar_equivalence.py``), and both publish the
-    same ``sim.*``/``cache.*`` counter totals when telemetry is
-    enabled — the fast path batch-publishes at end of run and records
-    sampled run-issue events (``REPRO_TELEMETRY_SAMPLE``), so enabling
-    observability no longer changes the engine.  Only timing models
-    the columnar lowering does not understand take the scalar path.
+    Caches are :class:`ArrayLruCache` models, the state both the
+    generated kernels and the Python columnar loop work on.  The fast
+    path and the oracle fallback produce identical cycles and
+    statistics (locked by ``tests/test_sim_columnar_equivalence.py``)
+    and publish the same ``sim.*``/``cache.*`` counter totals when
+    telemetry is enabled; the fast path also records sampled
+    run-issue events (``REPRO_TELEMETRY_SAMPLE``).
     """
 
     def __init__(
         self,
         config: GpuConfig = DEFAULT_GPU_CONFIG,
         model: Optional[TimingModel] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config
         self.model = model if model is not None else BaselineTiming()
-        self.engine = resolve_sim_engine(engine)
-        self.l1 = cache_for_engine(self.engine, config.l1, "l1")
-        self.l2 = cache_for_engine(self.engine, config.l2, "l2")
+        self.l1 = ArrayLruCache(config.l1, "l1")
+        self.l2 = ArrayLruCache(config.l2, "l2")
         self.dram = DramModel(config)
         self.model.bind(self)
-
-    # ------------------------------------------------------------------
-
-    def _memory_latency(
-        self, instr: TraceInstruction, now: int, stats: SimStats
-    ) -> int:
-        """Latency of a memory instruction's slowest transaction."""
-        lines = instr.lines
-        extra = len(lines) - 1
-        if extra > 0:
-            stats.extra_transactions += extra
-            stats.lsu_serialization_cycles += _TRANSACTION_CYCLES * extra
-        op = instr.op
-        if op is OpClass.LDS or op is OpClass.STS:
-            return _SHARED_LATENCY + _TRANSACTION_CYCLES * extra
-        l1_access = self.l1.access
-        l2_access = self.l2.access
-        l1_hit_latency = self.config.l1.hit_latency
-        l2_hit_latency = self.config.l2.hit_latency
-        dram_request = self.dram.request
-        slowest = 0
-        l1_hits = l1_misses = l2_hits = l2_misses = 0
-        for index, line in enumerate(lines):
-            if l1_access(line):
-                latency = l1_hit_latency
-                l1_hits += 1
-            elif l2_access(line):
-                latency = l2_hit_latency
-                l1_misses += 1
-                l2_hits += 1
-            else:
-                l1_misses += 1
-                l2_misses += 1
-                latency = dram_request(line, now) - now
-            candidate = latency + _TRANSACTION_CYCLES * index
-            if candidate > slowest:
-                slowest = candidate
-        stats.l1_hits += l1_hits
-        stats.l1_misses += l1_misses
-        stats.l2_hits += l2_hits
-        stats.l2_misses += l2_misses
-        return slowest
-
-    def _latency(
-        self, instr: TraceInstruction, now: int, stats: SimStats
-    ) -> int:
-        op = instr.op
-        if op is OpClass.INT:
-            base = _INT_LATENCY
-        elif op is OpClass.FP:
-            base = _FP_LATENCY
-        else:
-            base = self._memory_latency(instr, now, stats)
-        return base + self.model.extra_latency(instr, now)
 
     # ------------------------------------------------------------------
 
@@ -313,9 +132,10 @@ class SmSimulator:
 
         Returns ``None`` — with the reason recorded on the native
         diagnostics registry (:func:`repro.sim.native.note_fallback`)
-        — when the model has no columnar lowering or warm non-array
-        cache state pins the scalar pipeline.  Used by both
-        :meth:`run` and the experiment engine's batched dispatch.
+        — when the model has no columnar lowering or a warm
+        :class:`~repro.sim.cache.SetAssociativeCache` RCache pins the
+        oracle.  Used by both :meth:`run` and the experiment engine's
+        batched dispatch.
         """
         from .columnar import plan_for
         from .native import note_fallback
@@ -328,15 +148,8 @@ class SmSimulator:
             getattr(self.model, "rcache", None), ArrayLruCache
         ):
             # GPUShield plans inline RCache probe rows; that needs the
-            # array-backed RCache the model binds under this engine.
-            # A warm scalar RCache keeps the scalar path.
+            # array-backed RCache a cold model swaps in at bind time.
             note_fallback("warm-rcache")
-            return None
-        if not (
-            isinstance(self.l1, ArrayLruCache)
-            and isinstance(self.l2, ArrayLruCache)
-        ):
-            note_fallback("cache-model")
             return None
         return plan
 
@@ -357,34 +170,42 @@ class SmSimulator:
 
     def run(self, trace: KernelTrace) -> SimResult:
         """Simulate *trace* to completion; returns cycles and stats."""
-        if self.engine == "columnar":
-            plan = self._fast_plan(trace)
-            if plan is not None:
-                if not plan.runs:
-                    raise SimulationError("trace has no warps")
-                stats = SimStats()
-                telem, events, every, phase = self._fast_telemetry(trace)
-                # The generated C kernel replays the very same plan
-                # against the same cache/DRAM state; it returns None
-                # (no toolchain, compile failure, REPRO_SIM_NATIVE=0)
-                # to hand the plan to the pure-Python issue loop.
-                from .columnar import run_columnar
-                from .native import run_native
+        plan = self._fast_plan(trace)
+        if plan is None:
+            return self._run_oracle(trace)
+        if not plan.runs:
+            raise SimulationError("trace has no warps")
+        stats = SimStats()
+        telem, events, every, phase = self._fast_telemetry(trace)
+        # The generated C kernel replays the plan against the same
+        # cache/DRAM state; it returns None (no toolchain, compile
+        # failure, REPRO_SIM_NATIVE=0) to hand the plan to the
+        # pure-Python issue loop.
+        from .columnar import run_columnar
+        from .native import run_native
 
-                cycles = run_native(
-                    self, plan, stats,
-                    events=events, sample_every=every, sample_phase=phase,
-                )
-                if cycles is None:
-                    cycles = run_columnar(
-                        self, trace, plan, stats,
-                        events=events, sample_every=every,
-                        sample_phase=phase,
-                    )
-                if events is not None:
-                    self._publish_fast_path(trace.name, stats, events, telem)
-                return SimResult(name=trace.name, cycles=cycles, stats=stats)
-        return self._run_scalar(trace)
+        cycles = run_native(
+            self, plan, stats,
+            events=events, sample_every=every, sample_phase=phase,
+        )
+        if cycles is None:
+            cycles = run_columnar(
+                self, trace, plan, stats,
+                events=events, sample_every=every, sample_phase=phase,
+            )
+        if events is not None:
+            self._publish_fast_path(trace.name, stats, events, telem)
+        return SimResult(name=trace.name, cycles=cycles, stats=stats)
+
+    def _run_oracle(self, trace: KernelTrace) -> SimResult:
+        """The oracle's scan loop over this simulator's own state."""
+        from .reference import ReferenceSmSimulator
+
+        result = ReferenceSmSimulator.over(self).run(trace)
+        telem = TELEMETRY
+        if telem.enabled:
+            self._publish_counters(trace.name, result.stats, telem)
+        return result
 
     def _publish_fast_path(
         self, trace_name: str, stats: SimStats, events, telem
@@ -395,9 +216,7 @@ class SmSimulator:
         (one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` per
         kept run, carrying the simulated issue cycle, warp index and
         run length), then folds the run's counter totals into the
-        registry with exactly the calls the scalar pipeline makes — so
-        registry snapshots from the fast and scalar paths agree
-        byte-for-byte (locked by the columnar equivalence suite).
+        registry.
         """
         emit = telem.emit
         warp_issue = EventKind.WARP_ISSUE
@@ -409,132 +228,21 @@ class SmSimulator:
                 clock=cycle,
                 instructions=length,
             )
+        self._publish_counters(trace_name, stats, telem)
+
+    def _publish_counters(
+        self, trace_name: str, stats: SimStats, telem
+    ) -> None:
+        """Fold one run's ``sim.*`` and L1/L2 ``cache.*`` totals in."""
         stats.publish(telem.registry, trace=trace_name)
         self.l1.stats.publish(telem.registry, unit="l1", trace=trace_name)
         self.l2.stats.publish(telem.registry, unit="l2", trace=trace_name)
-
-    def _run_scalar(self, trace: KernelTrace) -> SimResult:
-        """The historical scalar event-heap pipeline."""
-        stats = SimStats()
-        model = self.model
-        warps = [
-            _WarpState(stream=stream)
-            for stream in expanded_streams(model, trace)
-        ]
-        if not warps:
-            raise SimulationError("trace has no warps")
-
-        # Hot-loop local bindings.
-        telem = TELEMETRY
-        telem_enabled = telem.enabled
-        telem_emit = telem.emit
-        trace_name = trace.name
-        memory_latency = self._memory_latency
-        extra_latency = model.extra_latency
-        # Models that never perturb result latency (baseline, baggy)
-        # skip the per-instruction callback entirely.
-        has_extra = type(model).extra_latency is not TimingModel.extra_latency
-        op_int = OpClass.INT
-        op_fp = OpClass.FP
-        warp_issue = EventKind.WARP_ISSUE
-        warp_stall = EventKind.WARP_STALL
-
-        clock = 0
-        current = 0
-        instructions = 0
-        stall_cycles = 0
-
-        # Every non-empty warp starts issue-ready at cycle 0
-        # (last_issue = -1, last_complete = 0 ⇒ earliest_issue = 0).
-        ready: List[int] = [i for i, w in enumerate(warps) if not w.done]
-        is_ready = [not w.done for w in warps]
-        pending: List = []  # (earliest_issue, warp index) min-heap
-        live = len(ready)
-
-        while live:
-            if pending and pending[0][0] <= clock:
-                while pending and pending[0][0] <= clock:
-                    _, index = heappop(pending)
-                    insort(ready, index)
-                    is_ready[index] = True
-            if ready:
-                # Greedy-then-oldest: stick with the current warp while
-                # it is ready, else the lowest-index (oldest) ready warp.
-                chosen = current if is_ready[current] else ready[0]
-            else:
-                next_time = pending[0][0]
-                stall_cycles += next_time - clock
-                if telem_enabled:
-                    telem_emit(
-                        warp_stall,
-                        trace=trace_name,
-                        cycles=next_time - clock,
-                        clock=clock,
-                    )
-                clock = next_time
-                continue
-
-            current = chosen
-            warp = warps[chosen]
-            stream = warp.stream
-            position = warp.position
-            instr = stream[position]
-            position += 1
-            warp.position = position
-
-            op = instr.op
-            if op is op_int:
-                latency = _INT_LATENCY
-            elif op is op_fp:
-                latency = _FP_LATENCY
-            else:
-                latency = memory_latency(instr, clock, stats)
-            if has_extra:
-                latency += extra_latency(instr, clock)
-
-            warp.last_issue = clock
-            complete = clock + latency
-            warp.last_complete = complete
-            instructions += 1
-            if telem_enabled:
-                telem_emit(
-                    warp_issue,
-                    trace=trace_name,
-                    warp=chosen,
-                    op=op.name,
-                    clock=clock,
-                )
-            clock += 1
-            if position >= len(stream):
-                # Warp retired: drop it from the ready set; `live` is
-                # maintained incrementally (no full-list rebuild).
-                live -= 1
-                is_ready[chosen] = False
-                ready.remove(chosen)
-            elif stream[position].depends and complete > clock:
-                # Next instruction waits on this result: park the warp
-                # on the pending heap until the dependency resolves.
-                is_ready[chosen] = False
-                ready.remove(chosen)
-                heappush(pending, (complete, chosen))
-            # Otherwise the warp is ready again next cycle and keeps
-            # its slot in the sorted ready list.
-
-        stats.instructions = instructions
-        stats.issue_stall_cycles = stall_cycles
-        finish = max(w.last_complete for w in warps)
-        if telem_enabled:
-            stats.publish(telem.registry, trace=trace_name)
-            self.l1.stats.publish(telem.registry, unit="l1", trace=trace_name)
-            self.l2.stats.publish(telem.registry, unit="l2", trace=trace_name)
-        return SimResult(name=trace_name, cycles=finish, stats=stats)
 
 
 def simulate(
     trace: KernelTrace,
     model: Optional[TimingModel] = None,
     config: GpuConfig = DEFAULT_GPU_CONFIG,
-    engine: Optional[str] = None,
 ) -> SimResult:
     """Convenience wrapper: fresh simulator per run."""
-    return SmSimulator(config, model, engine=engine).run(trace)
+    return SmSimulator(config, model).run(trace)

@@ -22,8 +22,8 @@ from typing import Callable, List, Optional
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import SimulationError
 from ..telemetry.runtime import TELEMETRY
-from .cache import cache_for_engine
-from .core import SimResult, SmSimulator, resolve_sim_engine
+from .cache import ArrayLruCache
+from .core import SimResult, SmSimulator
 from .timing import BaselineTiming, TimingModel
 from .trace import KernelTrace
 
@@ -88,11 +88,9 @@ class GpuSimulator:
         model_factory: Optional[Callable[[], TimingModel]] = None,
         *,
         num_sms: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config
         self.model_factory = model_factory or BaselineTiming
-        self.engine = resolve_sim_engine(engine)
         self.num_sms = num_sms if num_sms is not None else config.num_sms
         if self.num_sms <= 0:
             raise SimulationError("need at least one SM")
@@ -110,7 +108,7 @@ class GpuSimulator:
         # 1/N share of channels.  (A literally-shared DRAM queue would
         # conflate the SMs' independent timelines, since shards are
         # simulated one after another.)
-        shared_l2 = cache_for_engine(self.engine, self.config.l2, "l2")
+        shared_l2 = ArrayLruCache(self.config.l2, "l2")
         active = len(shards)
         contended = GpuConfig(
             num_sms=self.config.num_sms,
@@ -130,9 +128,7 @@ class GpuSimulator:
         per_sm: List[SimResult] = []
         telem = TELEMETRY
         for sm_index, warps in enumerate(shards):
-            simulator = SmSimulator(
-                contended, self.model_factory(), engine=self.engine
-            )
+            simulator = SmSimulator(contended, self.model_factory())
             simulator.l2 = shared_l2
             shard = KernelTrace(name=f"{trace.name}.sm{sm_index}", warps=warps)
             with telem.span(

@@ -29,16 +29,15 @@ Design constraints:
   reads them.  Warm-cache reruns and engine interleaving therefore
   behave identically to the Python loop.
 * **Batching.**  :func:`run_native_batch` ships N independent traces
-  through **one** FFI crossing per cell group — and, when the cell
-  was compiled with OpenMP or pthreads, fans the group out across
-  cores (``REPRO_SIM_NATIVE_THREADS``).
+  through **one** FFI crossing per cell group; the kernel runs them
+  one after another.
 * **Observable refusal.**  Every fallback to the Python loop is
   counted in :data:`NATIVE_DIAG` (``sim.native_fallback{reason=…}``)
   and logged once per reason per process.  The diagnostics registry
   is deliberately separate from the main telemetry registry: exported
-  ``--metrics`` snapshots must stay byte-identical across engines,
-  batch sizes and ``--jobs`` values, so engine-selection diagnostics
-  cannot ride in them.
+  ``--metrics`` snapshots must stay byte-identical across execution
+  paths and ``--jobs`` values, so path-selection diagnostics cannot
+  ride in them.
 
 The generated scheduler mirrors the Python loop's semantics exactly:
 a ready bitmask (oldest warp = lowest set bit, GTO keeps the current
@@ -66,7 +65,6 @@ from .codegen import (
     CellSpec,
     CompiledCell,
     load_cell,
-    resolve_threads,
 )
 from .timing import TRANSACTION_CYCLES
 
@@ -101,9 +99,9 @@ _FALLBACK_DETAIL = {
     "disabled": "REPRO_SIM_NATIVE=0 pins the Python issue loop",
     "no-toolchain": "no C compiler (cc/gcc/clang) on PATH",
     "compile-failed": "the generated cell failed to compile",
-    "custom-model": "timing model declares no columnar lowering",
-    "warm-rcache": "warm scalar RCache state keeps the scalar path",
-    "cache-model": "simulator caches are not array-backed",
+    "custom-model": "timing model declares no columnar lowering; "
+    "the oracle runs it",
+    "warm-rcache": "warm SetAssociativeCache RCache state runs the oracle",
     "kernel-error": "generated kernel refused (allocation failure)",
 }
 
@@ -294,8 +292,7 @@ def pack_native_plan(plan) -> NativePlan:
 
 #: Placeholder RCache arrays for probe-free cells: the generated
 #: kernel contains no code that reads slab slots 22/25, so one shared
-#: (never-dereferenced) pair serves every cell — including cells
-#: running concurrently on batch threads.
+#: (never-dereferenced) pair serves every cell, in any thread.
 _DUMMY_TAGS = np.zeros(1, dtype=np.int64)
 _DUMMY_TOUCHED = np.zeros(1, dtype=np.uint8)
 
@@ -380,7 +377,7 @@ def _prepare(
     )
 
 
-def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
+def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell]):
     """One FFI crossing for the whole *preps* group."""
     n = len(preps)
     if n == 1:
@@ -392,7 +389,6 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
     ffi = cell.ffi
     cell.lib.lmi_cell_run_batch(
         n,
-        threads,
         ffi.cast("const int64_t *", scalars.ctypes.data),
         ffi.cast("void **", slab.ctypes.data),
     )
@@ -401,8 +397,6 @@ def _invoke(cell: CompiledCell, preps: Sequence[_PreparedCell], threads: int):
     stats.batch_cells += n
     if n > stats.max_batch:
         stats.max_batch = n
-    if threads > stats.max_threads:
-        stats.max_threads = threads
 
 
 def _commit(prep: _PreparedCell) -> int:
@@ -494,26 +488,22 @@ def run_native(
     prep = _prepare(
         simulator, plan, stats, events, sample_every, sample_phase
     )
-    _invoke(cell, (prep,), 1)
+    _invoke(cell, (prep,))
     if prep.out[13]:
         note_fallback("kernel-error")
         return None
     return _commit(prep)
 
 
-def run_native_batch(
-    requests: Sequence[Tuple], threads: Optional[int] = None
-) -> List[Optional[int]]:
+def run_native_batch(requests: Sequence[Tuple]) -> List[Optional[int]]:
     """Run many traces natively with one FFI crossing per cell group.
 
     *requests* is a sequence of ``(simulator, plan, stats, events,
     sample_every, sample_phase)`` tuples — the :func:`run_native`
     signature, one per trace.  Requests are grouped by codegen cell;
-    each group crosses the FFI once and, when the cell was compiled
-    with OpenMP/pthread support, fans out over
-    :func:`~repro.sim.codegen.resolve_threads` threads (*threads*
-    overrides).  Simulators must be distinct objects — the kernels
-    mutate exported cache state concurrently.
+    each group crosses the FFI once.  Simulators must be distinct
+    objects — every request's cache state is exported before the
+    group runs.
 
     Returns one finish-cycle (or ``None`` for any trace whose cell is
     unavailable — the caller runs those through the Python loop; the
@@ -539,11 +529,7 @@ def run_native_batch(
                 note_fallback(cell)
             continue
         preps = [_prepare(*requests[i]) for i in indices]
-        if threads is None:
-            fan = resolve_threads(len(preps))
-        else:
-            fan = max(1, min(threads, len(preps)))
-        _invoke(cell, preps, fan)
+        _invoke(cell, preps)
         for i, prep in zip(indices, preps):
             if prep.out[13]:
                 note_fallback("kernel-error")

@@ -2,11 +2,17 @@
 
 This is the scheduler :class:`~repro.sim.core.SmSimulator` shipped
 with before the event-heap rewrite, kept verbatim (minus telemetry)
-as the ground truth for the scheduler-equivalence suite
-(``tests/test_scheduler_equivalence.py``).  It re-scans every warp on
-every issue slot — O(W) per instruction — which is exactly the cost
-the production scheduler removes; the two must agree cycle-for-cycle
-and stat-for-stat on any trace.
+as the ground truth for the equivalence suites
+(``tests/test_scheduler_equivalence.py``,
+``tests/test_sim_columnar_equivalence.py``).  It re-scans every warp
+on every issue slot — O(W) per instruction — which is exactly the
+cost the fast path removes; the two must agree cycle-for-cycle and
+stat-for-stat on any trace.
+
+It is also the fallback for runs the fast path's issue plan cannot
+lower (opaque timing models, warm scalar RCaches):
+:meth:`ReferenceSmSimulator.over` runs this loop against a
+:class:`~repro.sim.core.SmSimulator`'s own caches and DRAM.
 
 Do not "optimise" this module: its value is being the slow, obviously
 correct implementation.
@@ -20,12 +26,23 @@ from typing import List, Optional
 from ..common.config import DEFAULT_GPU_CONFIG, GpuConfig
 from ..common.errors import SimulationError
 from .cache import SetAssociativeCache
-from .core import _ALU_LATENCY, _SHARED_LATENCY, _TRANSACTION_CYCLES
 from .core import SimResult, SimStats
 from .dram import DramModel
-from .timing import BaselineTiming, TimingModel, expand_stream
+from .timing import (
+    ALU_LATENCY_CYCLES,
+    SHARED_LATENCY_CYCLES as _SHARED_LATENCY,
+    TRANSACTION_CYCLES as _TRANSACTION_CYCLES,
+    BaselineTiming,
+    TimingModel,
+    expand_stream,
+)
 from .trace import KernelTrace, TraceInstruction
 from .trace import OpClass
+
+_ALU_LATENCY = {
+    OpClass.INT: ALU_LATENCY_CYCLES,
+    OpClass.FP: ALU_LATENCY_CYCLES,
+}
 
 
 @dataclass
@@ -60,6 +77,21 @@ class ReferenceSmSimulator:
         self.l2 = SetAssociativeCache(config.l2, "l2")
         self.dram = DramModel(config)
         self.model.bind(self)
+
+    @classmethod
+    def over(cls, simulator) -> "ReferenceSmSimulator":
+        """This loop over *simulator*'s config, model, caches and DRAM.
+
+        Nothing is copied or rebound: the model stays bound to
+        *simulator*, and every access lands in its live state.
+        """
+        oracle = cls.__new__(cls)
+        oracle.config = simulator.config
+        oracle.model = simulator.model
+        oracle.l1 = simulator.l1
+        oracle.l2 = simulator.l2
+        oracle.dram = simulator.dram
+        return oracle
 
     # ------------------------------------------------------------------
 

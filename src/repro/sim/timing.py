@@ -87,7 +87,7 @@ class TimingModel:
         extra bookkeeping, custom ``bind`` state) therefore keep the
         fast path, including the generated native kernels.  Overriding
         any of the three makes the model opaque to the lowering and
-        routes it to the scalar pipeline.
+        routes it to the oracle's scan loop.
         """
         cls = type(self)
         return (
@@ -105,7 +105,7 @@ class TimingModel:
         never on simulator state.  Two instances with equal keys decode
         to identical plans, so the per-trace memo may share one.
         ``None`` declares the model opaque to the vectorized lowering;
-        the simulator then falls back to the scalar pipeline for it.
+        the simulator then falls back to the oracle's scan loop for it.
         Subclasses that override none of the decode-relevant hooks
         (:meth:`expand`, :meth:`expansion_key`, :meth:`extra_latency`)
         inherit their family's key — and with it the columnar and
@@ -179,19 +179,18 @@ class GPUShieldTiming(TimingModel):
     def bind(self, simulator) -> None:
         """Receive the owning simulator; align the RCache data plane.
 
-        Under the columnar engine the issue loop inlines RCache probes
-        against :class:`ArrayLruCache` recency rows, so a still-cold
-        RCache (no accesses, no contents) is swapped to the array-backed
-        model here.  The :class:`~repro.sim.cache.CacheStats` object is
+        The fast path inlines RCache probes against
+        :class:`ArrayLruCache` recency rows, so a still-cold RCache (no
+        accesses, no contents) is swapped to the array-backed model
+        here.  The :class:`~repro.sim.cache.CacheStats` object is
         carried over, so external references to ``rcache.stats`` keep
         observing the live counters.  A warm RCache is left alone — its
-        contents are simulation state — which makes the simulator fall
-        back to the scalar pipeline instead of silently flushing it.
+        contents are simulation state — which makes the simulator run
+        the oracle's scan loop instead of silently flushing it.
         """
         self._simulator = simulator
         if (
-            getattr(simulator, "engine", None) == "columnar"
-            and type(self.rcache) is SetAssociativeCache
+            type(self.rcache) is SetAssociativeCache
             and not self.rcache.stats.accesses
             and not self.rcache._sets
         ):

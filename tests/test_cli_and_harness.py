@@ -29,6 +29,30 @@ class TestCli:
         assert main(["feasibility"]) == 0
         assert "vector_add" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage_and_runs_nothing(self, flag, capsys,
+                                                monkeypatch):
+        def boom(fast, jobs):
+            raise AssertionError("--help ran an experiment")
+
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(EXPERIMENTS, name, boom)
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert "python -m repro.experiments" in out
+        assert "=" * 72 not in out  # no experiment banner or table
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--job", "4"], "--job"),
+        (["fig4", "--batch", "2"], "--batch"),
+        (["--fsat", "fig4"], "--fsat"),
+    ])
+    def test_unknown_flag_exits_2_naming_it(self, argv, flag, capsys):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert f"unknown option {flag!r}" in out
+        assert "=" * 72 not in out
+
 
 class TestLmiPassIdempotency:
     def test_double_run_inserts_nothing_new(self):

@@ -19,7 +19,7 @@ This suite locks the contracts the fast path depends on:
   reference, warm-state round-trip, >64-warp wide-mask cells), while
   hook-overriding subclasses fall back observably.
 * **Batched FFI** — ``run_native_batch`` is result/state/event
-  identical to sequential ``run_native`` at any thread count.
+  identical to sequential ``run_native``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from repro.sim.codegen import (
     CODEGEN_STATS,
     CellSpec,
     CompiledCell,
-    THREADS_ENV,
     generate_cell_source,
     load_cell,
-    resolve_threads,
 )
 from repro.sim.native import (
     NATIVE_ENV,
@@ -237,17 +235,6 @@ def test_warm_load_never_recompiles(tmp_path, monkeypatch, fresh_memo):
     assert CODEGEN_STATS.memo_hits > memo_before
 
 
-def test_resolve_threads_env_and_batch_clamp(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert resolve_threads(8) == 4
-    assert resolve_threads(2) == 2
-    assert resolve_threads(0) == 1
-    monkeypatch.setenv(THREADS_ENV, "garbage")
-    assert resolve_threads(8) == 1
-    monkeypatch.setenv(THREADS_ENV, "auto")
-    assert resolve_threads(1) == 1
-
-
 # ----------------------------------------------------------------------
 # Custom TimingModel subclasses through the generated kernels.
 
@@ -323,10 +310,9 @@ def _prepare_requests(mechanisms, traces):
     return requests
 
 
-@pytest.mark.parametrize("threads", [None, 2])
-def test_batch_matches_sequential(threads, monkeypatch):
+def test_batch_matches_sequential(monkeypatch):
     """run_native_batch == [run_native(*r) for r in requests]: cycles,
-    stats, cache state and sampled events, at any thread count."""
+    stats, cache state and sampled events."""
     _native_or_skip()
     monkeypatch.delenv(NATIVE_ENV, raising=False)
     mechanisms = ["baseline", "lmi", "gpushield", "baggy", "lmi", "gpushield"]
@@ -338,7 +324,7 @@ def test_batch_matches_sequential(threads, monkeypatch):
     sequential = _prepare_requests(mechanisms, traces)
     batched = _prepare_requests(mechanisms, traces)
     want = [run_native(*request) for request in sequential]
-    got = run_native_batch(batched, threads=threads)
+    got = run_native_batch(batched)
     assert all(cycles is not None for cycles in want)
     assert got == want
     for (sim_a, _, stats_a, events_a, _, _), (

@@ -1,6 +1,6 @@
 """Scheduler-equivalence suite.
 
-The event-heap GTO scheduler in :mod:`repro.sim.core` must be
+The GTO scheduler of :class:`repro.sim.core.SmSimulator` must be
 cycle-for-cycle and stat-for-stat identical to the historical
 linear-scan loop retained verbatim in :mod:`repro.sim.reference`.
 This suite locks that contract over a seeded (profile × warps × model)

@@ -11,14 +11,18 @@ Coverage:
 
 * a seeded (profile × warps × instructions) grid × all four timing
   models × every execution path (native C, pure-Python columnar loop,
-  pinned ``REPRO_SIM=reference`` scalar engine);
-* ``REPRO_SIM`` plumbing (aliases, typo rejection, env default);
+  and ``scalar``: the simulator's oracle fallback, i.e. the reference
+  scan loop over the simulator's own array-backed caches);
+* a seeded differential fuzzer over random synthetic traces, cache
+  geometries, all four mechanisms and one opaque model, on both the
+  native path and ``REPRO_SIM_NATIVE=0``;
 * warm-run parity (cache/DRAM state carried across runs);
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
-  geometry, custom timing models that force the scalar fallback;
+  geometry, custom timing models that force the oracle fallback;
 * the :class:`~repro.sim.trace.TraceMemo` bound/namespacing contract;
-* byte-identity of the experiment engine's ``.npz``-shipping fan-out.
+* byte-identity of the experiment engine's ``.npz``-shipping fan-out
+  and of the batched serial path against the fabric's per-job path.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from repro.common.config import DEFAULT_GPU_CONFIG, CacheConfig, GpuConfig
 from repro.common.errors import SimulationError
@@ -37,15 +43,13 @@ from repro.sim import (
     SmSimulator,
     TraceInstruction,
     native_available,
-    reference_simulate,
-    resolve_sim_engine,
 )
-from repro.sim.columnar import expanded_columnar
-from repro.sim.core import SIM_ENGINE_ENV, expanded_streams
+from repro.sim.columnar import ColumnarTrace, expanded_columnar
 from repro.sim.native import NATIVE_ENV
 from repro.sim.reference import ReferenceSmSimulator
 from repro.sim.timing import BaggyBoundsTiming, TimingModel
 from repro.sim.trace import TRACE_MEMO_CAPACITY, TraceMemo, trace_memo
+from repro.experiments.fabric import CELL_CACHE_ENV
 from repro.telemetry import EventKind, capture, chrome_trace, dumps, \
     metrics_json
 from repro.telemetry.runtime import SAMPLE_ENV
@@ -75,8 +79,9 @@ MODELS = ("baseline", "lmi", "gpushield", "baggy")
 
 #: Execution paths under test.  ``native`` lets the C executor run
 #: (skipped when no toolchain), ``python`` pins the pure-Python
-#: columnar issue loop, ``scalar`` pins the historical event-heap
-#: pipeline via ``REPRO_SIM=reference``.
+#: columnar issue loop, ``scalar`` withholds the issue plan so the
+#: simulator runs the oracle's scan loop over its own caches — the
+#: path opaque timing models and warm scalar RCaches take.
 PATHS = ("native", "python", "scalar")
 
 
@@ -85,18 +90,18 @@ def _combo_id(combo) -> str:
     return f"{benchmark}-w{warps}-i{instructions}"
 
 
-def _pin_path(monkeypatch, path: str) -> str:
-    """Pin one execution path via the environment; returns the engine."""
+def _pin_path(monkeypatch, path: str) -> None:
+    """Pin one execution path of :class:`SmSimulator`."""
     if path == "native":
         if not native_available():
             pytest.skip("no C toolchain for the native executor")
         monkeypatch.delenv(NATIVE_ENV, raising=False)
-        return "columnar"
-    if path == "python":
+    elif path == "python":
         monkeypatch.setenv(NATIVE_ENV, "0")
-        return "columnar"
-    monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
-    return "reference"
+    else:
+        monkeypatch.setattr(
+            SmSimulator, "_fast_plan", lambda self, trace: None
+        )
 
 
 def _state(sim) -> tuple:
@@ -109,14 +114,13 @@ def _state(sim) -> tuple:
         None
         if rcache is None
         else (rcache.stats.hits, rcache.stats.misses),
+        list(sim.dram.channel_free_at),
     )
 
 
-def _run_both(trace, mechanism, engine, config=DEFAULT_GPU_CONFIG, runs=1):
+def _run_both(trace, mechanism, config=DEFAULT_GPU_CONFIG, runs=1):
     """(got, want, got_state, want_state) after *runs* warm runs."""
-    sim = SmSimulator(
-        config, engine_module.model_factory(mechanism), engine=engine
-    )
+    sim = SmSimulator(config, engine_module.model_factory(mechanism))
     ref = ReferenceSmSimulator(config, engine_module.model_factory(mechanism))
     for _ in range(runs):
         got = sim.run(trace)
@@ -129,11 +133,11 @@ def _run_both(trace, mechanism, engine, config=DEFAULT_GPU_CONFIG, runs=1):
 @pytest.mark.parametrize("combo", CORPUS, ids=_combo_id)
 def test_columnar_matches_reference(combo, mechanism, path, monkeypatch):
     benchmark, warps, instructions = combo
-    engine = _pin_path(monkeypatch, path)
+    _pin_path(monkeypatch, path)
     trace = synthesize_trace(
         benchmark, warps=warps, instructions_per_warp=instructions
     )
-    got, want, got_state, want_state = _run_both(trace, mechanism, engine)
+    got, want, got_state, want_state = _run_both(trace, mechanism)
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got.name == want.name
@@ -144,11 +148,9 @@ def test_columnar_matches_reference(combo, mechanism, path, monkeypatch):
 @pytest.mark.parametrize("mechanism", MODELS)
 def test_warm_run_state_parity(mechanism, path, monkeypatch):
     """Cache/DRAM state must carry identically across warm runs."""
-    engine = _pin_path(monkeypatch, path)
+    _pin_path(monkeypatch, path)
     trace = synthesize_trace("hotspot", warps=6, instructions_per_warp=220)
-    got, want, got_state, want_state = _run_both(
-        trace, mechanism, engine, runs=2
-    )
+    got, want, got_state, want_state = _run_both(trace, mechanism, runs=2)
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got_state == want_state
@@ -157,7 +159,7 @@ def test_warm_run_state_parity(mechanism, path, monkeypatch):
 @pytest.mark.parametrize("path", PATHS)
 def test_hit_latency_one_geometry(path, monkeypatch):
     """Degenerate hit_latency=1 geometry (tiny caches, few channels)."""
-    engine = _pin_path(monkeypatch, path)
+    _pin_path(monkeypatch, path)
     config = GpuConfig(
         l1=CacheConfig(size_bytes=2048, line_bytes=128, ways=2,
                        hit_latency=1),
@@ -169,7 +171,7 @@ def test_hit_latency_one_geometry(path, monkeypatch):
     trace = synthesize_trace("bfs", warps=5, instructions_per_warp=240)
     for mechanism in MODELS:
         got, want, got_state, want_state = _run_both(
-            trace, mechanism, engine, config=config
+            trace, mechanism, config=config
         )
         assert got.cycles == want.cycles
         assert got.stats == want.stats
@@ -179,14 +181,14 @@ def test_hit_latency_one_geometry(path, monkeypatch):
 @pytest.mark.parametrize("path", PATHS)
 def test_empty_stream_warp(path, monkeypatch):
     """Zero-instruction warps must not wedge any engine."""
-    engine = _pin_path(monkeypatch, path)
+    _pin_path(monkeypatch, path)
     busy = [
         TraceInstruction(op=OpClass.INT),
         TraceInstruction(op=OpClass.LDG, lines=(0x100,), depends=True),
         TraceInstruction(op=OpClass.FP, depends=True),
     ]
     trace = KernelTrace(name="edge", warps=[list(busy), [], list(busy)])
-    got, want, got_state, want_state = _run_both(trace, "baseline", engine)
+    got, want, got_state, want_state = _run_both(trace, "baseline")
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got_state == want_state
@@ -194,9 +196,9 @@ def test_empty_stream_warp(path, monkeypatch):
 
 def test_no_warps_raises(monkeypatch):
     for path in ("python", "scalar"):
-        engine = _pin_path(monkeypatch, path)
+        _pin_path(monkeypatch, path)
         with pytest.raises(SimulationError):
-            SmSimulator(engine=engine).run(KernelTrace(name="empty"))
+            SmSimulator().run(KernelTrace(name="empty"))
 
 
 def test_past_native_bitmask_width(monkeypatch):
@@ -204,39 +206,14 @@ def test_past_native_bitmask_width(monkeypatch):
     kernel's multi-word wide variant must stay cycle-exact (and the
     Python loop must agree when the kernel is unavailable)."""
     trace = synthesize_trace("gaussian", warps=65, instructions_per_warp=40)
-    got, want, got_state, want_state = _run_both(trace, "lmi", "columnar")
+    got, want, got_state, want_state = _run_both(trace, "lmi")
     assert got.cycles == want.cycles
     assert got.stats == want.stats
     assert got_state == want_state
 
 
 # ----------------------------------------------------------------------
-# REPRO_SIM plumbing.
-
-
-def test_resolve_sim_engine_aliases():
-    assert resolve_sim_engine("") == "columnar"
-    assert resolve_sim_engine("default") == "columnar"
-    assert resolve_sim_engine("VECTOR") == "columnar"
-    assert resolve_sim_engine("reference") == "reference"
-    assert resolve_sim_engine(" scalar ") == "reference"
-
-
-def test_resolve_sim_engine_env(monkeypatch):
-    monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-    assert resolve_sim_engine() == "columnar"
-    monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
-    assert resolve_sim_engine() == "reference"
-    assert SmSimulator().engine == "reference"
-
-
-def test_resolve_sim_engine_rejects_typos():
-    with pytest.raises(SimulationError):
-        resolve_sim_engine("columnarr")
-
-
-# ----------------------------------------------------------------------
-# Scalar fallback for timing models the lowering does not understand.
+# Oracle fallback for timing models the lowering does not understand.
 
 
 class _JitterTiming(TimingModel):
@@ -257,6 +234,151 @@ def test_custom_model_takes_scalar_path():
     )
     assert got.cycles == want.cycles
     assert got.stats == want.stats
+
+
+def test_warm_scalar_rcache_runs_oracle():
+    """A GPUShield model bound with a warm SetAssociativeCache RCache
+    keeps its contents: the simulator runs the oracle's scan loop over
+    it (and its own caches) instead of flushing it."""
+    trace = synthesize_trace("LSTM", warps=4, instructions_per_warp=160)
+    warm_probe = TraceInstruction(
+        op=OpClass.LDG, lines=(0x80,), buffer_ids=(0, 1, 2)
+    )
+
+    def warmed():
+        model = engine_module.model_factory("gpushield")
+        model.extra_latency(warm_probe, 0)
+        return model
+
+    sim = SmSimulator(DEFAULT_GPU_CONFIG, warmed())
+    assert sim._fast_plan(trace) is None
+    ref = ReferenceSmSimulator(DEFAULT_GPU_CONFIG, warmed())
+    for _ in range(2):
+        got = sim.run(trace)
+        want = ref.run(trace)
+        assert got.cycles == want.cycles
+        assert got.stats == want.stats
+    assert _state(sim) == _state(ref)
+
+
+# ----------------------------------------------------------------------
+# Differential fuzzer: SmSimulator (both fast paths) vs the oracle.
+
+_FUZZ_OPS = (
+    OpClass.INT, OpClass.FP, OpClass.LDG, OpClass.STG,
+    OpClass.LDS, OpClass.STS, OpClass.LDL, OpClass.STL,
+)
+
+
+@st.composite
+def _fuzz_instructions(draw):
+    op = draw(st.sampled_from(_FUZZ_OPS))
+    depends = draw(st.booleans())
+    if not op.is_memory:
+        checked = op is OpClass.INT and draw(st.booleans())
+        return TraceInstruction(op=op, depends=depends, checked=checked)
+    # A small line pool so L1/L2 hits, conflicts and evictions all
+    # happen; a small buffer-id pool does the same for the RCache.
+    lines = tuple(
+        draw(st.lists(
+            st.integers(min_value=0, max_value=47).map(lambda n: n * 128),
+            min_size=1, max_size=4,
+        ))
+    )
+    buffer_ids = tuple(
+        draw(st.lists(
+            st.integers(min_value=0, max_value=23), min_size=1, max_size=3,
+        ))
+    )
+    return TraceInstruction(
+        op=op, depends=depends, lines=lines, buffer_ids=buffer_ids
+    )
+
+
+@st.composite
+def _fuzz_traces(draw):
+    """1–200 warps (any of them empty), ≤ ~300 instructions total."""
+    warps = draw(st.integers(min_value=1, max_value=200))
+    per_warp = max(1, min(12, 300 // warps))
+    streams = [
+        draw(st.lists(_fuzz_instructions(), min_size=0, max_size=per_warp))
+        for _ in range(warps)
+    ]
+    return KernelTrace(name="fuzz", warps=streams)
+
+
+@st.composite
+def _fuzz_configs(draw):
+    def level(ways, sets, latencies):
+        way_count = draw(st.sampled_from(ways))
+        return CacheConfig(
+            size_bytes=128 * way_count * draw(st.sampled_from(sets)),
+            line_bytes=128,
+            ways=way_count,
+            hit_latency=draw(st.sampled_from(latencies)),
+        )
+
+    return GpuConfig(
+        l1=level((1, 2, 4), (1, 3, 8), (1, 4, 30)),
+        l2=level((2, 4, 8), (4, 16), (1, 12, 200)),
+        dram_channels=draw(st.sampled_from((1, 2, 8))),
+    )
+
+
+_FUZZ_MODELS = MODELS + ("opaque",)
+
+
+def _fuzz_model(name):
+    if name == "opaque":
+        return _JitterTiming()
+    return engine_module.model_factory(name)
+
+
+#: Pinned example: >64 warps (the wide ready mask), empty warps in
+#: between, and hit_latency=1 at both cache levels.
+_WIDE_TRACE = KernelTrace(
+    name="fuzz-wide",
+    warps=[
+        []
+        if index % 7 == 3
+        else [
+            TraceInstruction(op=OpClass.INT, checked=index % 2 == 0),
+            TraceInstruction(
+                op=OpClass.LDG, lines=(128 * (index % 40),),
+                buffer_ids=(index % 9,), depends=True,
+            ),
+            TraceInstruction(op=OpClass.FP, depends=True),
+        ]
+        for index in range(130)
+    ],
+)
+_TIGHT_CONFIG = GpuConfig(
+    l1=CacheConfig(size_bytes=256, line_bytes=128, ways=2, hit_latency=1),
+    l2=CacheConfig(size_bytes=2048, line_bytes=128, ways=4, hit_latency=1),
+    dram_channels=2,
+)
+
+
+@seed(20261017)
+@settings(max_examples=20, deadline=None)
+@example(trace=_WIDE_TRACE, config=_TIGHT_CONFIG)
+@given(trace=_fuzz_traces(), config=_fuzz_configs())
+def test_differential_fuzz_against_oracle(trace, config):
+    """Random traces × cache geometries × every mechanism (plus one
+    opaque model): both fast paths must match the oracle in cycles,
+    SimStats, L1/L2/RCache counters and DRAM state."""
+    native_modes = ("1", "0") if native_available() else ("0",)
+    for name in _FUZZ_MODELS:
+        ref = ReferenceSmSimulator(config, _fuzz_model(name))
+        want = ref.run(trace)
+        for native in native_modes:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv(NATIVE_ENV, native)
+                sim = SmSimulator(config, _fuzz_model(name))
+                got = sim.run(trace)
+            assert got.cycles == want.cycles, (name, native)
+            assert got.stats == want.stats, (name, native)
+            assert _state(sim) == _state(ref), (name, native)
 
 
 # ----------------------------------------------------------------------
@@ -281,14 +403,11 @@ def test_trace_memo_namespaces_model_families():
         pass
 
     trace = synthesize_trace("gaussian", warps=2, instructions_per_warp=120)
-    a = expanded_streams(BaggyBoundsTiming(), trace)
-    b = expanded_streams(_OtherBaggy(), trace)
+    a = expanded_columnar(trace, BaggyBoundsTiming())
+    b = expanded_columnar(trace, _OtherBaggy())
     assert a is not b  # same ("baggy", n) key, distinct namespaces
-    assert a is expanded_streams(BaggyBoundsTiming(), trace)  # memo hit
-    ca = expanded_columnar(trace, BaggyBoundsTiming())
-    cb = expanded_columnar(trace, _OtherBaggy())
-    assert ca is not cb
-    assert ca is expanded_columnar(trace, BaggyBoundsTiming())
+    assert a == b  # ... over identical content
+    assert a is expanded_columnar(trace, BaggyBoundsTiming())  # memo hit
     assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
 
 
@@ -297,7 +416,7 @@ def test_trace_memo_sweep_stays_bounded():
     past its cap (the historical unbounded ``_expansion_memo``)."""
     trace = synthesize_trace("needle", warps=2, instructions_per_warp=80)
     for n in range(1, 2 * TRACE_MEMO_CAPACITY + 2):
-        expanded_streams(BaggyBoundsTiming(instructions_per_check=n), trace)
+        expanded_columnar(trace, BaggyBoundsTiming(instructions_per_check=n))
     assert len(trace_memo(trace)) <= TRACE_MEMO_CAPACITY
 
 
@@ -305,9 +424,9 @@ def test_trace_memo_ignores_legacy_attribute():
     """Stale ``_expansion_memo`` dicts (old pickled traces) are inert."""
     trace = synthesize_trace("nn", warps=2, instructions_per_warp=60)
     object.__setattr__(trace, "_expansion_memo", {("baggy", 4): "stale"})
-    streams = expanded_streams(BaggyBoundsTiming(), trace)
-    assert streams != "stale"
-    assert all(isinstance(s, list) for s in streams)
+    expanded = expanded_columnar(trace, BaggyBoundsTiming())
+    assert isinstance(expanded, ColumnarTrace)
+    assert expanded.total_instructions > sum(map(len, trace.warps))
 
 
 # ----------------------------------------------------------------------
@@ -341,20 +460,20 @@ def test_jobs_npz_shipping_byte_identical(monkeypatch):
 
 # ----------------------------------------------------------------------
 # Fast-path telemetry: the columnar/native engines stay engaged with
-# telemetry live, publish scalar-identical counters, and keep the
+# telemetry live, publish oracle-identical counters, and keep the
 # metrics/trace artifacts byte-identical for any --jobs value.
 
 
 def test_telemetry_enabled_keeps_columnar_engine(monkeypatch):
     """With telemetry live the fast path must not fall back to the
-    scalar pipeline (the pre-fast-path behaviour this PR removed)."""
+    oracle's scan loop."""
     trace = synthesize_trace("gaussian", warps=3, instructions_per_warp=160)
 
     def boom(self, _trace):
-        raise AssertionError("telemetry forced the scalar fallback")
+        raise AssertionError("telemetry forced the oracle fallback")
 
     with capture() as t:
-        monkeypatch.setattr(SmSimulator, "_run_scalar", boom)
+        monkeypatch.setattr(SmSimulator, "_run_oracle", boom)
         result = SmSimulator(
             model=engine_module.model_factory("lmi")
         ).run(trace)
@@ -368,20 +487,22 @@ def test_telemetry_enabled_keeps_columnar_engine(monkeypatch):
 
 @pytest.mark.parametrize("mechanism", MODELS)
 def test_fast_path_counter_parity_with_scalar(mechanism, monkeypatch):
-    """Registry snapshots from the fast and scalar paths must agree
-    byte-for-byte: `_publish_fast_path` makes exactly the publish
-    calls the scalar pipeline makes, over identically evolving
-    SimStats/CacheStats."""
+    """The fast path's registry snapshot must equal one built from the
+    oracle's SimStats and L1/L2 CacheStats with the same publish
+    calls: `_publish_fast_path` folds in identically evolved totals."""
     trace = synthesize_trace("LSTM", warps=5, instructions_per_warp=240)
 
-    def registry_json(engine):
-        with capture() as t:
-            SmSimulator(
-                model=engine_module.model_factory(mechanism), engine=engine
-            ).run(trace)
-            return json.dumps(t.registry.snapshot(), sort_keys=True)
-
-    assert registry_json("columnar") == registry_json("reference")
+    with capture() as t:
+        SmSimulator(model=engine_module.model_factory(mechanism)).run(trace)
+        fast = json.dumps(t.registry.snapshot(), sort_keys=True)
+    ref = ReferenceSmSimulator(model=engine_module.model_factory(mechanism))
+    result = ref.run(trace)
+    with capture() as t:
+        result.stats.publish(t.registry, trace=trace.name)
+        ref.l1.stats.publish(t.registry, unit="l1", trace=trace.name)
+        ref.l2.stats.publish(t.registry, unit="l2", trace=trace.name)
+        oracle = json.dumps(t.registry.snapshot(), sort_keys=True)
+    assert fast == oracle
 
 
 def test_fast_path_events_native_python_identical(monkeypatch):
@@ -447,11 +568,12 @@ def test_jobs_metrics_and_trace_export_byte_identical(monkeypatch):
     assert fanned[1] == serial[1]
 
 
-def test_batch_width_exports_byte_identical(monkeypatch):
-    """--metrics/--trace artifacts must be byte-identical at any
-    serial batch width: the batched executor runs whole groups through
-    one native FFI crossing but still publishes per job, in submission
-    order, inside each job's span."""
+def test_batch_width_exports_byte_identical(monkeypatch, tmp_path):
+    """--metrics/--trace artifacts and results of the batched serial
+    path must be byte-identical to the fabric's per-job path: the
+    batched executor runs whole groups through one native FFI crossing
+    but still publishes per job, in submission order, inside each
+    job's span.  Ten jobs span two batch groups."""
     monkeypatch.setenv(SAMPLE_ENV, "1/3")
     jobs = [
         SimJob(
@@ -460,12 +582,11 @@ def test_batch_width_exports_byte_identical(monkeypatch):
             warps=3,
             instructions_per_warp=160,
         )
-        for benchmark in ("gaussian", "needle")
+        for benchmark in ("gaussian", "needle", "bfs")
         for mechanism in MODELS
-    ]
+    ][:10]
 
-    def artifacts(batch):
-        monkeypatch.setenv(engine_module.BATCH_ENV, str(batch))
+    def artifacts():
         with capture() as t:
             results = run_sim_jobs(jobs)
             return (
@@ -474,9 +595,10 @@ def test_batch_width_exports_byte_identical(monkeypatch):
                 dumps(chrome_trace(t.tracer, t.recorder)),
             )
 
-    unbatched = artifacts(1)
-    for batch in (3, 8, 64):
-        batched = artifacts(batch)
-        assert batched[0] == unbatched[0], batch
-        assert batched[1] == unbatched[1], batch
-        assert batched[2] == unbatched[2], batch
+    monkeypatch.delenv(CELL_CACHE_ENV, raising=False)
+    batched = artifacts()
+    monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+    per_job = artifacts()
+    assert batched[0] == per_job[0]
+    assert batched[1] == per_job[1]
+    assert batched[2] == per_job[2]

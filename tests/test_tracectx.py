@@ -284,27 +284,28 @@ class TestEnginePropagation:
     def test_serial_results_carry_deterministic_ids(self):
         jobs = _jobs(3)
         expected = _expected_ids(3)
-        results = run_sim_jobs(jobs, batch_size=1)
+        results = run_sim_jobs(jobs)
         assert [r.trace_id for r in results] == expected
         for result in results:
             doc = TRACES.get(result.trace_id)
             assert doc is not None and doc["complete"]
-            assert doc["attrs"]["origin"] == "engine.serial"
+            assert doc["attrs"]["origin"] == "engine.batched"
             assert doc["attrs"]["benchmark"] == result.job.benchmark
             stages = [s["stage"] for s in doc["stages"]]
             assert "sim" in stages
 
     def test_batched_results_carry_deterministic_ids(self):
-        jobs = _jobs(4)
-        expected = _expected_ids(4)
-        results = run_sim_jobs(jobs, batch_size=4)
+        jobs = _jobs(10)  # two batch groups
+        expected = _expected_ids(10)
+        results = run_sim_jobs(jobs)
         assert [r.trace_id for r in results] == expected
-        doc = TRACES.get(results[0].trace_id)
-        assert doc["attrs"]["origin"] == "engine.batched"
+        for result in results:
+            doc = TRACES.get(result.trace_id)
+            assert doc["attrs"]["origin"] == "engine.batched"
 
     def test_disable_env_turns_tracing_off(self, monkeypatch):
         monkeypatch.setenv(TRACE_DISABLE_ENV, "1")
-        results = run_sim_jobs(_jobs(2), batch_size=1)
+        results = run_sim_jobs(_jobs(2))
         assert all(r.trace_id is None for r in results)
         assert len(TRACES) == 0
 
@@ -342,10 +343,10 @@ class TestEnginePropagation:
     def test_cache_hits_carry_no_trace_id(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
         jobs = _jobs(3)
-        first = run_sim_jobs(jobs, batch_size=1)
+        first = run_sim_jobs(jobs)
         assert all(r.trace_id is not None for r in first)
         TRACES.clear()
-        second = run_sim_jobs(jobs, batch_size=1)
+        second = run_sim_jobs(jobs)
         assert all(r.trace_id is None for r in second)
         assert fabric_counters()["cells_skipped"] >= 3
         # No executions → nothing recorded for the warm run.
@@ -359,7 +360,7 @@ class TestEnginePropagation:
 
 def _captured_exports():
     with capture(sample_every=1) as hub:
-        run_sim_jobs(_jobs(4), batch_size=2)
+        run_sim_jobs(_jobs(4))
         metrics = json.dumps(
             metrics_json(hub.registry, recorder=hub.recorder),
             sort_keys=True,
@@ -386,7 +387,7 @@ class TestExportIsolation:
         assert not LEAK_RE.search(trace)
 
     def test_trace_ids_absent_from_result_stats(self):
-        results = run_sim_jobs(_jobs(2), batch_size=1)
+        results = run_sim_jobs(_jobs(2))
         for result in results:
             blob = json.dumps(
                 {
