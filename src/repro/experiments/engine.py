@@ -17,10 +17,11 @@ stays **byte-identical** to the serial run:
   drivers always did; parallelism is strictly opt-in.
 * **Telemetry round-trip.**  When the hub is enabled, each worker
   captures its job's telemetry into a private hub (unbounded ring,
-  no sampling), ships the registry plus the raw event stream back,
-  and the parent replays events through the global recorder *in job
-  order* — re-applying the parent's sampling, ring capacity, sequence
-  numbers and logical clock — then merges the registries.  The global
+  no sampling), ships the registry plus the recorder's entries back
+  (``WARP_ISSUE`` runs stay one columnar block per job), and the
+  parent replays them through the global recorder *in job order* —
+  re-applying the parent's sampling, ring capacity, sequence numbers
+  and logical clock — then merges the registries.  The global
   hub therefore ends in the same state as a serial run.  This now
   includes the *fast-path* telemetry of the columnar/native engines
   (batch-published counters plus seed-derived sampled run events), and
@@ -314,11 +315,15 @@ def _job_span(job: SimJob, index: int):
 
 
 def _replay_telemetry(blob) -> None:
-    """Fold one worker's captured telemetry into the global hub."""
-    registry, events = blob
-    emit = TELEMETRY.emit  # parent clock/seq numbers/sampling apply
-    for kind, payload in events:
-        emit(kind, **payload)
+    """Fold one worker's captured telemetry into the global hub.
+
+    *blob* is ``(registry, entries)`` with *entries* from
+    :meth:`~repro.telemetry.events.FlightRecorder.entries`: each
+    ``WARP_ISSUE`` block goes back in with one call, and the parent's
+    clock, sequence numbers and sampling apply.
+    """
+    registry, entries = blob
+    TELEMETRY.replay(entries)
     TELEMETRY.registry.merge(registry)
 
 

@@ -82,7 +82,7 @@ from .engine import (
 
 #: Version tag of the on-disk cell record (bump on layout change —
 #: old entries then miss and rebuild, never misparse).
-CELL_SCHEMA = "repro.experiments.cell/v1"
+CELL_SCHEMA = "repro.experiments.cell/v2"
 
 #: Environment variable naming the cell-cache directory
 #: (CLI: ``--cell-cache DIR``).
@@ -353,27 +353,28 @@ class CellCache:
         except OSError:
             return None
         if not header.startswith(self._MAGIC):
-            self.stats.corrupt += 1
-            return None
+            return self._corrupt()
         expected = header[len(self._MAGIC):].strip().decode(
             "ascii", "replace"
         )
         if hashlib.sha256(payload).hexdigest() != expected:
-            self.stats.corrupt += 1  # truncated / bit-rotted
-            return None
+            return self._corrupt()  # truncated / bit-rotted
         try:
             record = pickle.loads(payload)
         except Exception:
-            self.stats.corrupt += 1
-            return None
+            return self._corrupt()
         if (
             not isinstance(record, dict)
             or record.get("schema") != CELL_SCHEMA
             or record.get("digest") != digest
         ):
-            self.stats.corrupt += 1  # foreign or renamed entry
-            return None
+            return self._corrupt()  # foreign, renamed or old-schema entry
         return record
+
+    def _corrupt(self) -> None:
+        """Count one unusable entry (it reads as a miss)."""
+        with self._stats_lock:
+            self.stats.corrupt += 1
 
     def store(self, record: Dict[str, object]) -> None:
         """Atomically publish one cell record and journal it."""
@@ -535,10 +536,12 @@ def _execute_cell(
     """Run one cell, capturing telemetry privately when wanted.
 
     Returns ``(JobResult, blob)`` where *blob* is the
-    ``(registry, events)`` pair the parent replays in submission
+    ``(registry, entries)`` pair the parent replays in submission
     order — the same capture discipline as the historical fan-out
     workers, which is what keeps cached/stolen/resumed runs
-    byte-identical to live ones.
+    byte-identical to live ones.  *entries* keeps the job's
+    ``WARP_ISSUE`` rows as columnar blocks
+    (:meth:`~repro.telemetry.events.FlightRecorder.entries`).
     """
     if not telemetry_wanted:
         return _execute_job(job, config, trace_path), None
@@ -546,12 +549,9 @@ def _execute_cell(
         ring_capacity=_WORKER_RING_CAPACITY, sample_every=1
     ) as hub:
         result = _execute_job(job, config, trace_path)
-        events = [
-            (event.kind, dict(event.payload))
-            for event in hub.recorder.events()
-        ]
+        entries = hub.recorder.entries()
         registry = hub.registry
-    return result, (registry, events)
+    return result, (registry, entries)
 
 
 def _maybe_die_for_test(job: SimJob) -> None:

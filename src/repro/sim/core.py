@@ -157,9 +157,10 @@ class SmSimulator:
         """Fast-path telemetry decisions for one run.
 
         Counters are batch-published at end of run (never per record),
-        and the issue loops record one (cycle, warp, run_length)
-        triple per *sampled* issue run — the comb is seed-derived from
-        the trace name so the recorded ring is identical across
+        and the issue loops record one ``(cycle, warp, run_length)``
+        row per *sampled* issue run into a single ``(n, 3)`` int64
+        block appended to the returned list — the comb is seed-derived
+        from the trace name so the recorded ring is identical across
         processes, batch sizes and --jobs values.
         """
         telem = TELEMETRY
@@ -212,22 +213,14 @@ class SmSimulator:
     ) -> None:
         """End-of-run telemetry flush for the columnar/native engines.
 
-        Emits the sampled run-issue events collected by the issue loop
-        (one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` per
-        kept run, carrying the simulated issue cycle, warp index and
-        run length), then folds the run's counter totals into the
+        Publishes the issue loop's block of sampled run-issue rows as
+        one :data:`~repro.telemetry.events.EventKind.WARP_ISSUE` block
+        (each row is one kept run: simulated issue cycle, warp index
+        and run length), then folds the run's counter totals into the
         registry.
         """
-        emit = telem.emit
-        warp_issue = EventKind.WARP_ISSUE
-        for cycle, warp, length in events:
-            emit(
-                warp_issue,
-                trace=trace_name,
-                warp=warp,
-                clock=cycle,
-                instructions=length,
-            )
+        (rows,) = events  # exactly one block per fast-path run
+        telem.emit_block(EventKind.WARP_ISSUE, trace_name, rows)
         self._publish_counters(trace_name, stats, telem)
 
     def _publish_counters(

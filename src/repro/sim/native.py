@@ -426,12 +426,8 @@ def _commit(prep: _PreparedCell) -> int:
     dram = simulator.dram
     dram.channel_free_at[:] = prep.free_at.tolist()
 
-    events = prep.events
-    if events is not None and ev_count:
-        flat = prep.ev_buf[: ev_count * 3].tolist()
-        append = events.append
-        for i in range(0, ev_count * 3, 3):
-            append((flat[i], flat[i + 1], flat[i + 2]))
+    if prep.events is not None:
+        prep.events.append(prep.ev_buf[: ev_count * 3].reshape(-1, 3))
 
     plan = prep.plan
     stats = prep.stats
@@ -473,10 +469,11 @@ def run_native(
     is recorded via :func:`note_fallback`.
 
     When *events* is a list, the kernel records one ``(issue_cycle,
-    warp, run_length)`` triple per sampled issue run (the same ``seq %
+    warp, run_length)`` row per sampled issue run (the same ``seq %
     every == phase`` comb as the Python loop, applied to the same run
-    sequence), appended to *events* after the run — so the C and
-    Python fast paths produce byte-identical event lists.
+    sequence); the rows are appended to *events* after the run as one
+    ``(n, 3)`` int64 view of the kernel's event buffer — so the C and
+    Python fast paths produce identical blocks.
     """
     if _disabled():
         note_fallback("disabled")
@@ -508,7 +505,7 @@ def run_native_batch(requests: Sequence[Tuple]) -> List[Optional[int]]:
     Returns one finish-cycle (or ``None`` for any trace whose cell is
     unavailable — the caller runs those through the Python loop; the
     refusal is recorded via :func:`note_fallback` either way).
-    Per-trace results, state mutations and event lists are identical
+    Per-trace results, state mutations and event blocks are identical
     to ``[run_native(*r) for r in requests]``.
     """
     results: List[Optional[int]] = [None] * len(requests)

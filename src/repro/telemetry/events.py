@@ -18,6 +18,15 @@ Hot-path discipline
 * ``sample_every=N`` keeps every Nth routine event; *important* kinds
   (faults, detections, oracle mismatches) bypass sampling so the
   signal is never thinned away.
+* Bulk producers (the simulator's fast paths, the experiment fabric's
+  replay) publish a whole run of ``WARP_ISSUE`` events as one
+  columnar *block* (:meth:`FlightRecorder.emit_block`): an ``(n, 3)``
+  int array of ``(clock, warp, instructions)`` rows.  Sampling,
+  sequence numbers, timestamps and overflow are applied to the block
+  arithmetically, and :class:`TelemetryEvent` objects are built only
+  for the rows still in the ring when someone reads it — every
+  counter and every read matches ``n`` single :meth:`~FlightRecorder.
+  emit` calls exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, List, Mapping, Optional
+from typing import Deque, Dict, FrozenSet, List, Mapping, Optional, Union
 
 
 class EventKind(enum.Enum):
@@ -98,14 +107,69 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
+class _Block:
+    """The kept rows of one :meth:`FlightRecorder.emit_block` call.
+
+    Row ``j`` (``j >= start``; earlier rows were overwritten) is the
+    event with sequence number ``seq + j * seq_step`` and timestamp
+    ``ts + j * ts_step``.
+    """
+
+    __slots__ = ("kind", "trace", "rows", "start", "seq", "seq_step",
+                 "ts", "ts_step")
+
+    def __init__(self, kind, trace, rows, seq, seq_step, ts, ts_step):
+        self.kind = kind
+        self.trace = trace
+        self.rows = rows
+        self.start = 0
+        self.seq = seq
+        self.seq_step = seq_step
+        self.ts = ts
+        self.ts_step = ts_step
+
+    def __len__(self) -> int:
+        return len(self.rows) - self.start
+
+    def expand(self, out: List[TelemetryEvent]) -> None:
+        """Append this block's surviving rows to *out* as events."""
+        kind, trace = self.kind, self.trace
+        seq_step, ts_step = self.seq_step, self.ts_step
+        seq = self.seq + self.start * seq_step
+        ts = self.ts + self.start * ts_step
+        for clock, warp, instructions in self.rows[self.start:].tolist():
+            out.append(
+                TelemetryEvent(
+                    seq,
+                    ts,
+                    kind,
+                    {
+                        "trace": trace,
+                        "warp": warp,
+                        "clock": clock,
+                        "instructions": instructions,
+                    },
+                )
+            )
+            seq += seq_step
+            ts += ts_step
+
+
 class FlightRecorder:
-    """Ring-buffered event sink with sampling controls."""
+    """Ring-buffered event sink with sampling controls.
+
+    The ring is a deque of entries — single :class:`TelemetryEvent`
+    objects and columnar blocks — plus a running event count; overflow
+    trims whole entries from the left, or advances the oldest block's
+    start row.
+    """
 
     __slots__ = (
         "enabled",
         "capacity",
         "sample_every",
         "_ring",
+        "_size",
         "_attempts",
         "emitted",
         "dropped",
@@ -126,7 +190,9 @@ class FlightRecorder:
         self.enabled = enabled
         self.capacity = capacity
         self.sample_every = sample_every
-        self._ring: Deque[TelemetryEvent] = deque(maxlen=capacity)
+        self._ring: Deque[Union[TelemetryEvent, _Block]] = deque()
+        #: Events currently buffered (block rows count individually).
+        self._size = 0
         #: Emission attempts while enabled (sampling denominator).
         self._attempts = 0
         #: Events accepted into the ring (including later overwritten).
@@ -152,35 +218,109 @@ class FlightRecorder:
         ):
             self.sampled_out += 1
             return None
-        if len(self._ring) == self.capacity:
-            self.dropped += 1
         event = TelemetryEvent(
             seq=self._attempts, ts=ts, kind=kind, payload=payload
         )
         self._ring.append(event)
         self.emitted += 1
+        self._size += 1
+        if self._size > self.capacity:
+            self._trim()
         return event
+
+    def emit_block(
+        self, kind: EventKind, trace: str, rows, ts: int = 0,
+        ts_step: int = 0, /,
+    ) -> None:
+        """Publish ``len(rows)`` events as one columnar block.
+
+        *rows* is an ``(n, 3)`` integer ndarray of ``(clock, warp,
+        instructions)`` rows; row ``i`` stands for ``emit(kind, ts + i
+        * ts_step, trace=trace, warp=warp, clock=clock,
+        instructions=instructions)``.
+        """
+        if not self.enabled:
+            return
+        total = len(rows)
+        first = self._attempts + 1
+        self._attempts += total
+        every = 1 if kind in IMPORTANT_KINDS else self.sample_every
+        # Attempt ``first + i`` is kept iff it is a multiple of every.
+        skip = -first % every
+        kept = rows[skip::every]
+        count = len(kept)
+        self.sampled_out += total - count
+        if count:
+            self._ring.append(
+                _Block(kind, trace, kept, first + skip, every,
+                       ts + skip * ts_step, every * ts_step)
+            )
+            self.emitted += count
+            self._size += count
+            if self._size > self.capacity:
+                self._trim()
+
+    def _trim(self) -> None:
+        """Overwrite the oldest events until the ring fits capacity."""
+        excess = self._size - self.capacity
+        self.dropped += excess
+        self._size = self.capacity
+        ring = self._ring
+        while excess:
+            head = ring[0]
+            if type(head) is _Block:
+                left = len(head)
+                if left > excess:
+                    head.start += excess
+                    return
+                excess -= left
+            else:
+                excess -= 1
+            ring.popleft()
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._size
 
     def events(self, kind: Optional[EventKind] = None) -> List[TelemetryEvent]:
         """Chronological view of the buffered events."""
-        if kind is None:
-            return list(self._ring)
-        return [event for event in self._ring if event.kind is kind]
+        out: List[TelemetryEvent] = []
+        for entry in self._ring:
+            if kind is not None and entry.kind is not kind:
+                continue
+            if type(entry) is _Block:
+                entry.expand(out)
+            else:
+                out.append(entry)
+        return out
+
+    def entries(self) -> list:
+        """The buffered events in replayable form, oldest first.
+
+        Blocks stay columnar as ``(kind, trace, rows)``; single events
+        become ``(kind, payload)``.  :meth:`~repro.telemetry.runtime.
+        Telemetry.replay` publishes the list again (with the replaying
+        hub's sequence numbers, clock and sampling).
+        """
+        return [
+            (entry.kind, entry.trace, entry.rows[entry.start:])
+            if type(entry) is _Block
+            else (entry.kind, dict(entry.payload))
+            for entry in self._ring
+        ]
 
     def drain(self) -> List[TelemetryEvent]:
         """Return and clear the buffered events (counters survive)."""
-        events = list(self._ring)
+        events = self.events()
         self._ring.clear()
+        self._size = 0
         return events
 
     def clear(self) -> None:
         """Drop buffered events and zero all counters."""
         self._ring.clear()
+        self._size = 0
         self._attempts = 0
         self.emitted = 0
         self.dropped = 0
@@ -189,8 +329,11 @@ class FlightRecorder:
     def counts_by_kind(self) -> Dict[str, int]:
         """Histogram of currently-buffered events by kind."""
         out: Dict[str, int] = {}
-        for event in self._ring:
-            out[event.kind.value] = out.get(event.kind.value, 0) + 1
+        for entry in self._ring:
+            name = entry.kind.value
+            out[name] = out.get(name, 0) + (
+                len(entry) if type(entry) is _Block else 1
+            )
         return dict(sorted(out.items()))
 
 

@@ -167,6 +167,36 @@ class Telemetry:
             return None
         return self.recorder.emit(kind, self.clock.now(), **payload)
 
+    def emit_block(self, kind: EventKind, trace: str, rows) -> None:
+        """Publish ``len(rows)`` events as one columnar block.
+
+        Equivalent to one :meth:`emit` per ``(clock, warp,
+        instructions)`` row of *rows*: the block reserves ``len(rows)``
+        clock readings in one :meth:`~repro.telemetry.spans.
+        LogicalClock.advance` call.  A no-op while disabled.
+        """
+        if not self.enabled:
+            return
+        clock = self.clock
+        self.recorder.emit_block(
+            kind, trace, rows, clock.advance(len(rows)), clock.step
+        )
+
+    def replay(self, entries) -> None:
+        """Publish a :meth:`~repro.telemetry.events.FlightRecorder.
+        entries` list captured from another recorder, in order.
+
+        This hub's clock, sequence numbers, sampling and ring capacity
+        apply, exactly as if the events were emitted here.
+        """
+        emit, emit_block = self.emit, self.emit_block
+        for entry in entries:
+            if len(entry) == 3:
+                emit_block(*entry)
+            else:
+                kind, payload = entry
+                emit(kind, **payload)
+
     def counter(self, name: str, **labels: object) -> Counter:
         """Registry counter accessor (valid even while disabled)."""
         return self.registry.counter(name, **labels)
@@ -187,16 +217,17 @@ class Telemetry:
         counters = sorted(
             snap["counters"].items(), key=lambda kv: (-kv[1], kv[0])
         )
+        recorder = self.recorder
         lines = [
             f"telemetry: {len(self.registry)} metrics, "
-            f"{self.recorder.emitted} events buffered "
-            f"({self.recorder.dropped} overwritten, "
-            f"{self.recorder.sampled_out} sampled out), "
+            f"{len(recorder)} events buffered of {recorder.emitted} "
+            f"emitted ({recorder.dropped} overwritten, "
+            f"{recorder.sampled_out} sampled out), "
             f"{len(self.tracer.spans)} spans",
         ]
         for name, value in counters[:top]:
             lines.append(f"  {name} = {value}")
-        by_kind = self.recorder.counts_by_kind()
+        by_kind = recorder.counts_by_kind()
         if by_kind:
             rendered = ", ".join(f"{k}:{v}" for k, v in by_kind.items())
             lines.append(f"  events by kind: {rendered}")

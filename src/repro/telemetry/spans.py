@@ -33,11 +33,25 @@ class LogicalClock:
         self._now += self.step
         return self._now
 
+    def advance(self, n: int) -> int:
+        """Take *n* readings at once; returns the first.
+
+        The others follow at ``step`` spacing, exactly as *n* calls
+        of :meth:`now` would have returned them.
+        """
+        first = self._now + self.step
+        self._now += n * self.step
+        return first
+
 
 class WallClock:
     """Real microsecond clock (perf_counter based, zeroed at creation)."""
 
     __slots__ = ("_origin",)
+
+    #: Spacing of the readings :meth:`advance` hands out (one shared
+    #: reading for the whole batch).
+    step = 0
 
     def __init__(self) -> None:
         self._origin = time.perf_counter_ns()
@@ -45,6 +59,10 @@ class WallClock:
     def now(self) -> int:
         """Microseconds since the clock was created."""
         return (time.perf_counter_ns() - self._origin) // 1000
+
+    def advance(self, n: int) -> int:
+        """One reading standing for *n* (see :attr:`step`)."""
+        return self.now()
 
 
 @dataclass

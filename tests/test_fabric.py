@@ -50,7 +50,7 @@ from repro.experiments.fabric import (
 )
 from repro.telemetry.export import chrome_trace, metrics_json
 from repro.telemetry.progress import ProgressBoard
-from repro.telemetry.runtime import capture
+from repro.telemetry.runtime import SAMPLE_ENV, Telemetry, capture
 
 
 @pytest.fixture(autouse=True)
@@ -228,6 +228,39 @@ class TestCellCache:
         # Both handles' stat counters survived the hammering intact.
         assert sum(cache.stats.stores for cache in caches) == 2 * per_writer
 
+    def test_shared_handle_counts_every_corrupt_read(self, tmp_path):
+        """One handle read by more threads than cores (the serve
+        daemon's executor shape): no lost ``corrupt`` increments."""
+        import threading
+
+        cache = CellCache(str(tmp_path))
+        with open(cache.path_for("d1"), "wb") as handle:
+            handle.write(b"not a cell record at all\n")
+        threads_n, per_thread = 8, 200
+        start = threading.Barrier(threads_n, timeout=10)
+
+        def reader():
+            start.wait()
+            for _ in range(per_thread):
+                cache.load("d1", want_events=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader) for _ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = threads_n * per_thread
+        assert cache.stats.corrupt == total
+        assert cache.stats.misses == total
+
 
 class TestResolvers:
     def test_cell_cache_env_and_memoization(self, monkeypatch, tmp_path):
@@ -258,9 +291,9 @@ _SIZES = dict(warps=3, instructions_per_warp=200)
 _CELLS = len(_BENCHMARKS) * 4  # mechanisms: baseline, baggy, gpushield, lmi
 
 
-def _fig12_with_exports(jobs: int = 1):
+def _fig12_with_exports(jobs: int = 1, sample_every: int = 1):
     """(table text, metrics JSON, trace JSON) for one captured run."""
-    with capture(sample_every=1) as hub:
+    with capture(sample_every=sample_every) as hub:
         result = run_fig12(_BENCHMARKS, jobs=jobs, **_SIZES)
         metrics = json.dumps(
             metrics_json(hub.registry, recorder=hub.recorder),
@@ -318,6 +351,70 @@ class TestByteIdentity:
         assert counts["cells_skipped"] == _CELLS - 1
         # ...and the rebuild upgraded the entry in place.
         assert cache.load(digest, want_events=True) is not None
+
+    def test_v1_record_misses_and_is_upgraded_in_place(
+        self, monkeypatch, tmp_path
+    ):
+        """A record of the previous layout — the worker's events
+        flattened into ``(kind, payload)`` tuples — is a miss under
+        the v2 schema and is rebuilt in place."""
+        import hashlib
+        import pickle
+
+        baseline = _fig12_with_exports()
+        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        _fig12_with_exports()  # populate
+        cache = resolve_cell_cache()
+        digest = cell_digest(
+            SimJob("needle", "baggy", **_SIZES), DEFAULT_GPU_CONFIG
+        )
+        record = cache.load(digest, want_events=True)
+        registry, entries = record["telemetry"]
+        hub = Telemetry(enabled=True, ring_capacity=1 << 20)
+        hub.replay(entries)
+        events = [(e.kind, dict(e.payload)) for e in hub.recorder.events()]
+        assert events
+        record.update(
+            schema="repro.experiments.cell/v1",
+            telemetry=(registry, events),
+        )
+        payload = pickle.dumps(record)
+        with open(cache.path_for(digest), "wb") as handle:
+            handle.write(
+                CellCache._MAGIC
+                + hashlib.sha256(payload).hexdigest().encode("ascii")
+                + b"\n"
+                + payload
+            )
+        assert cache.load(digest, want_events=False) is None
+        reset_fabric_counters()
+        assert _fig12_with_exports() == baseline
+        counts = fabric_counters()
+        assert counts["cells_executed"] == 1
+        assert counts["cells_skipped"] == _CELLS - 1
+        upgraded = cache.load(digest, want_events=True)
+        assert upgraded["schema"] == fabric_module.CELL_SCHEMA
+        assert [len(entry) for entry in upgraded["telemetry"][1]] == [3]
+
+    @pytest.mark.parametrize(
+        "sample_env, hub_every", [("1/7", 1), ("1", 3), ("1/7", 3)]
+    )
+    def test_sampled_cold_and_warm_match_uncached(
+        self, monkeypatch, tmp_path, sample_env, hub_every
+    ):
+        """Fast-path sampling (REPRO_TELEMETRY_SAMPLE) and a sampling
+        parent hub: replayed blocks go through the recorder's
+        arithmetic sampling path inside run_grid."""
+        monkeypatch.setenv(SAMPLE_ENV, sample_env)
+        baseline = _fig12_with_exports(sample_every=hub_every)
+        sampled_out = json.loads(baseline[1])["events"]["sampled_out"]
+        assert (sampled_out > 0) == (hub_every > 1)
+        monkeypatch.setenv(CELL_CACHE_ENV, str(tmp_path / "cells"))
+        assert _fig12_with_exports(sample_every=hub_every) == baseline
+        assert fabric_counters()["cells_executed"] == _CELLS
+        reset_fabric_counters()
+        assert _fig12_with_exports(sample_every=hub_every) == baseline
+        assert fabric_counters()["cells_skipped"] == _CELLS
 
     def test_worker_death_redispatches_exactly_once(
         self, monkeypatch, tmp_path

@@ -13,8 +13,12 @@ Covers the contract the observability layer promises:
 
 import json
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro import IRType, KernelBuilder, run_lmi_pass
 from repro.exec.executor import GpuExecutor
@@ -151,6 +155,129 @@ class TestFlightRecorder:
         event = rec.emit(EventKind.ALLOC, 1, kind="x", ts=99)
         assert event.kind is EventKind.ALLOC
         assert event.payload["kind"] == "x" and event.payload["ts"] == 99
+
+    def test_block_overflow_trims_partial_block(self):
+        rec = FlightRecorder(5)
+        rows = np.arange(24, dtype=np.int64).reshape(-1, 3)
+        rec.emit_block(EventKind.WARP_ISSUE, "t", rows, 10, 1)
+        assert (len(rec), rec.emitted, rec.dropped) == (5, 8, 3)
+        events = rec.events()
+        assert [e.seq for e in events] == [4, 5, 6, 7, 8]
+        assert [e.ts for e in events] == [13, 14, 15, 16, 17]
+        assert events[0].payload == {
+            "trace": "t", "warp": 10, "clock": 9, "instructions": 11,
+        }
+        assert rec.counts_by_kind() == {"warp_issue": 5}
+
+
+# ----------------------------------------------------------------------
+# Columnar blocks vs per-event emission
+
+
+_SINGLE_KINDS = (
+    EventKind.WARP_ISSUE,
+    EventKind.ACCESS_CHECK,
+    EventKind.EC_FAULT,
+    EventKind.KERNEL_BEGIN,
+)
+_BLOCK_KINDS = (EventKind.WARP_ISSUE, EventKind.KERNEL_END)
+
+_OPS = st.one_of(
+    st.tuples(st.just("emit"), st.sampled_from(_SINGLE_KINDS)),
+    st.tuples(
+        st.just("block"),
+        st.sampled_from(_BLOCK_KINDS),
+        st.integers(0, 300),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestBlockDifferential:
+    """``emit_block`` must leave a hub exactly as one ``emit`` per row
+    would: ring contents, counters and clock position."""
+
+    @seed(20261017)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 64),
+        sample_every=st.integers(1, 5),
+        deterministic=st.booleans(),
+        ops=st.lists(_OPS, max_size=25),
+    )
+    def test_block_matches_per_event(
+        self, capacity, sample_every, deterministic, ops
+    ):
+        # A frozen wall clock: WallClock.advance hands a block one
+        # reading, so per-event readings must not drift apart.
+        with mock.patch(
+            "repro.telemetry.spans.time.perf_counter_ns",
+            return_value=7_000_000,
+        ):
+            hubs = [
+                Telemetry(
+                    enabled=True,
+                    ring_capacity=capacity,
+                    sample_every=sample_every,
+                    deterministic=deterministic,
+                )
+                for _ in range(2)
+            ]
+            per_event, bulk = hubs
+            for index, op in enumerate(ops):
+                if op[0] == "emit":
+                    for hub in hubs:
+                        hub.emit(op[1], index=index)
+                elif op[0] == "block":
+                    _, kind, count, rows_seed = op
+                    rows = np.random.default_rng(rows_seed).integers(
+                        0, 1 << 40, size=(count, 3), dtype=np.int64
+                    )
+                    for clock, warp, instructions in rows.tolist():
+                        per_event.emit(
+                            kind, trace="k", warp=warp, clock=clock,
+                            instructions=instructions,
+                        )
+                    bulk.emit_block(kind, "k", rows)
+                elif op[0] == "drain":
+                    assert (
+                        per_event.recorder.drain() == bulk.recorder.drain()
+                    )
+                else:
+                    for hub in hubs:
+                        hub.recorder.clear()
+                self._assert_same(per_event, bulk)
+            assert per_event.clock.now() == bulk.clock.now()
+
+    @staticmethod
+    def _assert_same(a: Telemetry, b: Telemetry) -> None:
+        ra, rb = a.recorder, b.recorder
+        assert ra.events() == rb.events()
+        assert ra.events(EventKind.WARP_ISSUE) == rb.events(
+            EventKind.WARP_ISSUE
+        )
+        assert (len(ra), ra.emitted, ra.dropped, ra.sampled_out) == (
+            len(rb), rb.emitted, rb.dropped, rb.sampled_out
+        )
+        assert ra.counts_by_kind() == rb.counts_by_kind()
+
+    def test_replay_round_trips_blocks(self):
+        source = Telemetry(enabled=True, ring_capacity=1 << 20)
+        rows = np.arange(30, dtype=np.int64).reshape(-1, 3)
+        source.emit(EventKind.KERNEL_BEGIN, name="k")
+        source.emit_block(EventKind.WARP_ISSUE, "k", rows)
+        entries = source.recorder.entries()
+        assert entries[0] == (EventKind.KERNEL_BEGIN, {"name": "k"})
+        assert entries[1][:2] == (EventKind.WARP_ISSUE, "k")
+        assert entries[1][2].tolist() == rows.tolist()
+        target = Telemetry(enabled=True, ring_capacity=4, sample_every=3)
+        target.replay(entries)
+        reference = Telemetry(enabled=True, ring_capacity=4, sample_every=3)
+        for event in source.recorder.events():
+            reference.emit(event.kind, **event.payload)
+        TestBlockDifferential._assert_same(target, reference)
 
 
 # ----------------------------------------------------------------------
@@ -405,6 +532,14 @@ class TestCliArtifacts:
         from repro.experiments.__main__ import main
         assert main(["fig4", "--metrics"]) == 2
         assert "requires a PATH" in capsys.readouterr().out
+
+    def test_summary_separates_buffered_from_emitted(self):
+        hub = Telemetry(enabled=True, ring_capacity=4)
+        for i in range(10):
+            hub.emit(EventKind.ACCESS_CHECK, index=i)
+        assert "4 events buffered of 10 emitted (6 overwritten" in (
+            hub.summary()
+        )
 
     def test_verbose_telemetry_prints_summary(self, capsys):
         from repro.experiments.__main__ import main
