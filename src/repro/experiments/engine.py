@@ -428,7 +428,7 @@ def _run_serial_batched(
             started = time.perf_counter()
             simulator = SmSimulator(config, model_factory(job.mechanism))
             plan = simulator._fast_plan(trace)
-            if plan is not None and not plan.runs:
+            if plan is not None and plan.warp_count == 0:
                 # Empty trace: the oracle raises the same
                 # SimulationError run() would.
                 plan = None

@@ -10,29 +10,34 @@ rebuilds that data plane as structure-of-arrays:
   and checked flags, plus CSR-packed per-instruction coalesced line
   addresses and buffer ids, with lossless converters from/to the
   dataclass form (and derived columns: transaction counts, memory-space
-  codes, base latencies).
+  codes, base latencies).  Construction validates every record rule
+  vectorized; :meth:`ColumnarTrace.to_trace` wraps the columns in a
+  :class:`~repro.sim.trace.KernelTrace` whose warps are built only when
+  something asks for them.
 * **Vectorized stream expansion** — each rewriting
   :class:`~repro.sim.timing.TimingModel` lowers to per-instruction
   replication counts applied with ``np.repeat`` (Baggy Bounds: one
   original plus its check chain), memoized per ``(trace,
   expansion_key)`` on the trace's bounded
   :class:`~repro.sim.trace.TraceMemo`.
-* :class:`IssuePlan` — pre-decoded per-warp issue descriptors.  The
-  GTO scheduler issues *runs*: maximal sequences of instructions the
-  current warp executes back-to-back (a run ends exactly where the
-  next instruction depends on an in-flight result, or at stream end).
-  Run boundaries, fixed result latencies (ALU, shared memory, the
-  state-free model penalties such as the LMI OCU cycles), and the
-  LSU-serialization / extra-transaction statistics are all functions
-  of trace content alone, so they are computed once, vectorized, and
-  the hot loop touches packed Python lists of ints instead of
-  dataclass attributes.
-* :func:`run_columnar` — the columnar issue loop.  Only genuinely
-  stateful work remains serial: L1/L2/DRAM interactions of
-  global/local memory transactions (inlined against
-  :class:`~repro.sim.cache.ArrayLruCache` rows) and GPUShield RCache
-  probes.  Everything else — entire ALU/shared runs — collapses to
-  O(1) per run.
+* :class:`IssuePlan` — the issue descriptors as flat ``int64``
+  columns, decoded straight from the trace arrays with prefix sums,
+  ``np.repeat`` and gathers.  The GTO scheduler issues *runs*:
+  maximal sequences of instructions the current warp executes
+  back-to-back (a run ends exactly where the next instruction depends
+  on an in-flight result, or at stream end).  Run boundaries, fixed
+  result latencies (ALU, shared memory, the state-free model penalties
+  such as the LMI OCU cycles), the LSU-serialization / extra-transaction
+  statistics and every line's cache/DRAM geometry are functions of
+  trace content alone, so they are computed once.  The generated C
+  kernel (:mod:`repro.sim.native`) reads these columns in place.
+* :func:`run_columnar` — the pure-Python issue loop, taken when no
+  kernel is available.  It reads per-warp tuple lists derived from the
+  columns once per plan.  Only genuinely stateful work remains serial:
+  L1/L2/DRAM interactions of global/local memory transactions (inlined
+  against :class:`~repro.sim.cache.ArrayLruCache` rows) and GPUShield
+  RCache probes.  Everything else — entire ALU/shared runs — collapses
+  to O(1) per run.
 
 Cycle-for-cycle and stat-for-stat equivalence with the linear-scan
 ground truth in :mod:`repro.sim.reference` is locked by
@@ -41,8 +46,10 @@ ground truth in :mod:`repro.sim.reference` is locked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,6 +86,13 @@ OP_CODE = {op: code for code, op in enumerate(OP_ORDER)}
 _SPACE_BY_CODE = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=np.uint8)
 
 
+def _csr(counts) -> np.ndarray:
+    """CSR offsets (leading 0, running sum) of per-row *counts*."""
+    return np.concatenate(
+        (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
+    )
+
+
 @dataclass
 class ColumnarTrace:
     """Structure-of-arrays form of a :class:`KernelTrace`.
@@ -103,15 +117,42 @@ class ColumnarTrace:
     buffers: np.ndarray        #: int64 flattened buffer ids
 
     def __post_init__(self) -> None:
-        n = len(self.ops)
+        # The generated kernels index through these columns without
+        # bounds checks, so every rule a TraceInstruction enforces per
+        # record is enforced here, vectorized, for the whole trace.
+        ops = self.ops
+        n = len(ops)
         if len(self.depends) != n or len(self.checked) != n:
             raise TraceFormatError("columnar flag columns disagree on length")
         if len(self.line_offsets) != n + 1 or len(self.buffer_offsets) != n + 1:
             raise TraceFormatError("columnar CSR offsets disagree on length")
-        if len(self.warp_offsets) == 0 or self.warp_offsets[0] != 0:
-            raise TraceFormatError("warp offsets must start at 0")
-        if self.warp_offsets[-1] != n:
-            raise TraceFormatError("warp offsets must end at the record count")
+        if len(self.warp_offsets) == 0:
+            raise TraceFormatError("warp offsets must not be empty")
+        for label, offsets, size in (
+            ("warp", self.warp_offsets, n),
+            ("line", self.line_offsets, len(self.lines)),
+            ("buffer", self.buffer_offsets, len(self.buffers)),
+        ):
+            if offsets[0] != 0 or offsets[-1] != size:
+                raise TraceFormatError(
+                    f"{label} offsets must run from 0 to {size}"
+                )
+            if bool((np.diff(offsets) < 0).any()):
+                raise TraceFormatError(f"{label} offsets must not decrease")
+        if n == 0:
+            return
+        if int(ops.min()) < 0 or int(ops.max()) >= len(OP_ORDER):
+            raise TraceFormatError("op code out of range")
+        alu = ops <= OP_FP
+        if bool((self.checked & (ops != OP_INT)).any()):
+            raise TraceFormatError("only INT ops can carry the A hint")
+        line_counts = np.diff(self.line_offsets)
+        if bool((alu & (line_counts > 0)).any()):
+            raise TraceFormatError("ALU ops cannot carry memory transactions")
+        if bool((~alu & (line_counts == 0)).any()):
+            raise TraceFormatError("memory ops need at least one transaction")
+        if bool((~alu & (np.diff(self.buffer_offsets) == 0)).any()):
+            raise TraceFormatError("memory ops need at least one buffer id")
 
     # ------------------------------------------------------------------
 
@@ -209,11 +250,16 @@ class ColumnarTrace:
         )
 
     def to_trace(self) -> KernelTrace:
-        """Lossless columnar → dataclass conversion.
+        """A :class:`KernelTrace` over these columns.
 
-        The produced trace's derived-data memo is pre-seeded with this
-        columnar object, so a follow-up simulation skips re-conversion.
+        No :class:`TraceInstruction` is built here: the trace's
+        ``warps`` are materialized by :meth:`to_warps` on first access,
+        and :func:`columnar_of` hands the fast path these arrays as is.
         """
+        return KernelTrace.from_columnar(self)
+
+    def to_warps(self) -> List[List[TraceInstruction]]:
+        """Lossless columnar → dataclass conversion of every warp."""
         ops = self.ops.tolist()
         depends = self.depends.tolist()
         checked = self.checked.tolist()
@@ -222,33 +268,27 @@ class ColumnarTrace:
         bof = self.buffer_offsets.tolist()
         buffers = self.buffers.tolist()
         order = OP_ORDER
-        warps: List[List[TraceInstruction]] = []
         offsets = self.warp_offsets.tolist()
-        for w in range(len(offsets) - 1):
-            stream: List[TraceInstruction] = []
-            append = stream.append
-            for i in range(offsets[w], offsets[w + 1]):
-                append(
-                    TraceInstruction(
-                        op=order[ops[i]],
-                        depends=depends[i],
-                        checked=checked[i],
-                        lines=tuple(lines[lof[i]:lof[i + 1]]),
-                        buffer_ids=tuple(buffers[bof[i]:bof[i + 1]]),
-                    )
+        return [
+            [
+                TraceInstruction(
+                    op=order[ops[i]],
+                    depends=depends[i],
+                    checked=checked[i],
+                    lines=tuple(lines[lof[i]:lof[i + 1]]),
+                    buffer_ids=tuple(buffers[bof[i]:bof[i + 1]]),
                 )
-            warps.append(stream)
-        trace = KernelTrace(name=self.name, warps=warps)
-        trace_memo(trace).put(("columnar",), self)
-        return trace
+                for i in range(offsets[w], offsets[w + 1])
+            ]
+            for w in range(len(offsets) - 1)
+        ]
 
 
 def columnar_of(trace: KernelTrace) -> ColumnarTrace:
-    """The columnar form of *trace*, memoized on the trace."""
-    memo = trace_memo(trace)
-    columnar = memo.get(("columnar",))
+    """The columnar form of *trace*, derived once and kept on it."""
+    columnar = trace.columnar
     if columnar is None:
-        columnar = memo.put(("columnar",), ColumnarTrace.from_trace(trace))
+        columnar = trace.columnar = ColumnarTrace.from_trace(trace)
     return columnar
 
 
@@ -281,10 +321,9 @@ def expand_columnar(
     if isinstance(key, tuple) and key and key[0] == "baggy":
         return _expand_checked_chain(columnar, int(key[1]))
     # Generic fallback: rewrite through the dataclass path.
-    trace = columnar.to_trace()
     expanded = KernelTrace(
-        name=trace.name,
-        warps=[expand_stream(model, stream) for stream in trace.warps],
+        name=columnar.name,
+        warps=[expand_stream(model, s) for s in columnar.to_warps()],
     )
     return ColumnarTrace.from_trace(expanded)
 
@@ -316,9 +355,7 @@ def _expand_checked_chain(
     if n == 0 or check_count <= 0 or not bool(columnar.checked.any()):
         return columnar
     counts = np.where(columnar.checked, 1 + check_count, 1).astype(np.int64)
-    cumulative = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-    )
+    cumulative = _csr(counts)
     total = int(cumulative[-1])
     src = np.repeat(np.arange(n, dtype=np.int64), counts)
     starts = cumulative[:-1]  # output slot of each original record
@@ -331,16 +368,12 @@ def _expand_checked_chain(
     # line column is unchanged — only the offsets are re-spread.
     line_counts = np.diff(columnar.line_offsets)
     out_line_counts = np.where(first, line_counts[src], 0)
-    line_offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(out_line_counts))
-    )
+    line_offsets = _csr(out_line_counts)
     # Injected checks take the default (0,) buffer id; original buffer
     # runs are scattered to their new offsets in one fancy-index store.
     buffer_counts = np.diff(columnar.buffer_offsets)
     out_buffer_counts = np.where(first, buffer_counts[src], 1)
-    buffer_offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(out_buffer_counts))
-    )
+    buffer_offsets = _csr(out_buffer_counts)
     buffers = np.zeros(int(buffer_offsets[-1]), dtype=np.int64)
     within = np.arange(len(columnar.buffers), dtype=np.int64) - np.repeat(
         columnar.buffer_offsets[:-1], buffer_counts
@@ -361,46 +394,65 @@ def _expand_checked_chain(
 
 
 # ----------------------------------------------------------------------
-# Pre-decoded per-warp issue descriptors.
+# Issue plans: flat int64 issue columns.
 
 
-@dataclass
+def _column(values) -> np.ndarray:
+    """*values* as a C-contiguous ``int64`` column, padded to length 1
+    when empty so its slab pointer is always dereferenceable."""
+    column = np.ascontiguousarray(values, dtype=np.int64)
+    return column if column.size else np.zeros(1, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class IssuePlan:
-    """Packed issue descriptors for one (trace, model, geometry) tuple.
+    """Issue descriptors for one (trace, model, geometry) tuple.
 
-    ``runs[w]`` holds one ``(length, comp_delta, mem_lo, mem_hi)``
-    tuple per issue run of warp *w*, **in reverse issue order** (the
-    hot loop copies each list once per simulation and consumes it with
-    ``list.pop()``): ``length`` instructions issue back-to-back,
-    ``comp_delta`` is ``length - 1 + final_latency`` for runs whose
-    final result latency is state-free (ALU, shared memory, the LMI
-    OCU penalty) or ``-1`` when the final instruction rides the
-    stateful L1/L2/DRAM path, and ``mem_lo:mem_hi`` indexes the warp's
-    memory tables: ``mem_rel[w]`` (issue offset within the run) and
-    ``mem_geom[w]`` — per memory instruction, a sequence of
-    pre-resolved per-line ``(l1_set, l1_tag, l2_set, l2_tag, channel,
-    lsu_offset)`` tuples, so the issue loop performs no address
-    arithmetic at all.  For GPUShield, ``mem_probes[w]`` carries
-    pre-resolved ``(rc_set, rc_tag, meta_l2_set, meta_l2_tag,
-    meta_channel)`` probe tuples (deduplicated per instruction,
-    preserving the reference engine's set iteration order).  All
-    containers hold plain Python ints: the hot loop never touches
-    NumPy scalars.
+    The GTO scheduler issues *runs*: ``run_length[r]`` instructions of
+    one warp back-to-back.  Run ``r``'s ``run_comp[r]`` is ``length - 1
+    + final_latency`` when its final result latency is state-free (ALU,
+    shared memory, the LMI OCU penalty), or ``-(1 + extra)`` when the
+    final instruction rides the stateful L1/L2/DRAM path (``extra`` is
+    its state-free latency addend, usually 0).  Runs are stored in
+    issue order, warp-major: warp *w* owns runs ``run_start[w] :
+    run_start[w + 1]``.
+
+    Only global/local memory instructions (*records*) stay stateful.
+    ``run_mem_lo[r] : run_mem_hi[r]`` are the run's records, numbered
+    within the warp (warp *w*'s first record is ``rec_base[w]``);
+    ``rec_rel`` is each record's issue offset within its run.  Record
+    ``k`` owns coalesced lines ``rec_line_start[k] :
+    rec_line_start[k + 1]`` of the six pre-resolved ``line_cols``
+    (``l1_set, l1_tag, l2_set, l2_tag, channel, lsu_offset``), so the
+    issue loop performs no address arithmetic at all.  For GPUShield,
+    ``rec_probe_start`` / ``probe_cols`` (``rc_set, rc_tag,
+    meta_l2_set, meta_l2_tag, meta_channel``) hold each record's
+    RCache probes, deduplicated in the reference engine's set
+    iteration order.
+
+    Every column is a C-contiguous ``int64`` array (empty ones padded
+    to one element): this is the layout the generated kernels of
+    :mod:`repro.sim.codegen` read, so the native executor passes the
+    columns' addresses as they are.  The pure-Python issue loop reads
+    :attr:`python_tables` instead.
     """
 
     total_instructions: int
     extra_transactions: int
     lsu_serialization_cycles: int
-    runs: List[List[Tuple[int, int, int, int]]]
-    mem_rel: List[List[int]]
-    mem_geom: List[List[List[Tuple[int, int, int, int, int, int]]]]
-    mem_probes: Optional[
-        List[List[Tuple[Tuple[int, int, int, int, int], ...]]]
-    ] = None
-    #: Lazily materialized per-warp op-name lists (telemetry only).
-    _op_names: Optional[List[List[str]]] = field(
-        default=None, repr=False, compare=False
-    )
+    warp_count: int
+    run_start: np.ndarray
+    run_length: np.ndarray
+    run_comp: np.ndarray
+    run_mem_lo: np.ndarray
+    run_mem_hi: np.ndarray
+    rec_base: np.ndarray
+    rec_rel: np.ndarray
+    rec_line_start: np.ndarray
+    line_cols: Tuple[np.ndarray, ...]
+    has_probes: bool
+    rec_probe_start: np.ndarray
+    probe_cols: Tuple[np.ndarray, ...]
 
     @property
     def total_runs(self) -> int:
@@ -410,7 +462,63 @@ class IssuePlan:
         sampled-event comb walks and the batch/throughput accounting
         of the native executor reports against.
         """
-        return sum(len(runs) for runs in self.runs)
+        return int(self.run_start[-1])
+
+    @cached_property
+    def slab_prefix(self) -> np.ndarray:
+        """Pointer-slab slots 0–19 of the generated kernels: the
+        addresses of the columns above, in field order."""
+        columns = (
+            self.run_start, self.run_length, self.run_comp,
+            self.run_mem_lo, self.run_mem_hi, self.rec_base,
+            self.rec_rel, self.rec_line_start, *self.line_cols,
+            self.rec_probe_start, *self.probe_cols,
+        )
+        return np.array([c.ctypes.data for c in columns], dtype=np.uint64)
+
+    @cached_property
+    def python_tables(self) -> Tuple[list, list, list, Optional[list]]:
+        """Per-warp Python-int tables for :func:`run_columnar`.
+
+        ``(runs, mem_rel, mem_geom, mem_probes)``: ``runs[w]`` holds
+        warp *w*'s ``(length, comp, mem_lo, mem_hi)`` tuples **in
+        reverse issue order** (the loop copies it once per simulation
+        and consumes it with ``list.pop()``); ``mem_rel[w]``,
+        ``mem_geom[w]`` and ``mem_probes[w]`` hold each record's issue
+        offset, line tuples and probe tuples (``mem_probes`` is
+        ``None`` without probes).  NumPy scalars are about 3x slower
+        in that loop, so it never touches the arrays.
+        """
+        warps = self.warp_count
+        run_start = self.run_start.tolist()
+        all_runs = list(zip(
+            self.run_length.tolist(), self.run_comp.tolist(),
+            self.run_mem_lo.tolist(), self.run_mem_hi.tolist(),
+        ))
+        runs = []
+        for w in range(warps):
+            packed = all_runs[run_start[w]:run_start[w + 1]]
+            packed.reverse()
+            runs.append(packed)
+        records = len(self.rec_line_start) - 1
+        bounds = self.rec_base.tolist()[:warps] + [records]
+        rel = self.rec_rel.tolist()
+
+        def per_record(starts, cols):
+            rows = list(zip(*(c.tolist() for c in cols)))
+            edges = starts.tolist()
+            return [rows[edges[k]:edges[k + 1]] for k in range(records)]
+
+        geom = per_record(self.rec_line_start, self.line_cols)
+        mem_rel = [rel[bounds[w]:bounds[w + 1]] for w in range(warps)]
+        mem_geom = [geom[bounds[w]:bounds[w + 1]] for w in range(warps)]
+        mem_probes = None
+        if self.has_probes:
+            probes = per_record(self.rec_probe_start, self.probe_cols)
+            mem_probes = [
+                probes[bounds[w]:bounds[w + 1]] for w in range(warps)
+            ]
+        return runs, mem_rel, mem_geom, mem_probes
 
 
 #: Cache/DRAM geometry baked into a plan: ``(l1_line_bits, l1_sets,
@@ -439,26 +547,15 @@ def decode_issue_plan(
     *plan_key* is a :meth:`TimingModel.columnar_plan_key` value; the
     caller is responsible for expanding rewriting models first.
     *geometry* bakes the cache/DRAM address mapping into the plan (it
-    is part of the plan memo key).
+    is part of the plan memo key).  Every column is built in NumPy
+    (prefix sums, ``np.repeat`` and gathers); the one Python loop left
+    is GPUShield's per-record ``set()`` dedup, whose iteration order
+    the reference engine fixes.
     """
     family = plan_key[0]
     ops = columnar.ops
     n = len(ops)
     wo = columnar.warp_offsets
-    warp_count = columnar.warp_count
-    if n == 0:
-        return IssuePlan(
-            total_instructions=0,
-            extra_transactions=0,
-            lsu_serialization_cycles=0,
-            runs=[[] for _ in range(warp_count)],
-            mem_rel=[[] for _ in range(warp_count)],
-            mem_geom=[[] for _ in range(warp_count)],
-            mem_probes=(
-                [[] for _ in range(warp_count)]
-                if family == "gpushield" else None
-            ),
-        )
 
     latencies = columnar.base_latencies()
     final_extra = None
@@ -481,138 +578,110 @@ def decode_issue_plan(
     run_start_mask = columnar.depends.copy()
     warp_starts = wo[:-1]
     run_start_mask[warp_starts[warp_starts < n]] = True
-    run_starts = np.nonzero(run_start_mask)[0]
+    run_starts = np.flatnonzero(run_start_mask)
     run_ends = np.empty_like(run_starts)
     run_ends[:-1] = run_starts[1:] - 1
-    run_ends[-1] = n - 1
+    run_ends[-1:] = n - 1
     run_lengths = run_ends - run_starts + 1
     run_last_latency = latencies[run_ends]
     # comp_delta: completion cycle of the run's final instruction
     # relative to the run's first issue cycle.  Negative values flag a
     # stateful (L1-path) final record and encode its state-free extra
     # latency addend as ``-(1 + extra)`` (plain ``-1`` when none).
-    if final_extra is None:
-        comp_delta = np.where(
-            run_last_latency < 0, -1, run_lengths - 1 + run_last_latency
-        )
-    else:
-        comp_delta = np.where(
-            run_last_latency < 0,
-            -1 - final_extra[run_ends],
-            run_lengths - 1 + run_last_latency,
-        )
+    stateful_comp = -1 if final_extra is None else -1 - final_extra[run_ends]
+    comp_delta = np.where(
+        run_last_latency < 0,
+        stateful_comp,
+        run_lengths - 1 + run_last_latency,
+    )
 
-    # Memory tables: only L1-path records stay stateful.
+    # Memory records: only L1-path instructions stay stateful.  The
+    # prefix counts give, for every position, the runs and records
+    # that start before it.
     l1_mask = (
         (ops == OP_LDG) | (ops == OP_STG) | (ops == OP_LDL) | (ops == OP_STL)
     )
-    mem_positions = np.nonzero(l1_mask)[0]
-    run_id = np.cumsum(run_start_mask) - 1
-    mem_rel_global = mem_positions - run_starts[run_id[mem_positions]]
-    mem_lo = np.searchsorted(mem_positions, run_starts)
-    mem_hi = np.searchsorted(mem_positions, run_ends + 1)
-    run_warp = np.searchsorted(wo, run_starts, side="right") - 1
-    warp_mem_start = np.searchsorted(mem_positions, wo[:-1])
-    mem_lo_local = mem_lo - warp_mem_start[run_warp]
-    mem_hi_local = mem_hi - warp_mem_start[run_warp]
-    warp_run_lo = np.searchsorted(run_starts, wo[:-1])
-    warp_run_hi = np.searchsorted(run_starts, wo[1:])
+    mem_positions = np.flatnonzero(l1_mask)
+    run_prefix = _csr(run_start_mask)
+    mem_prefix = _csr(l1_mask)
+    run_start = run_prefix[wo]
+    rec_base = mem_prefix[warp_starts]
+    rec_rel = mem_positions - run_starts[run_prefix[mem_positions + 1] - 1]
+    warp_rec_base = np.repeat(rec_base, np.diff(run_start))
+    run_mem_lo = mem_prefix[run_starts] - warp_rec_base
+    run_mem_hi = mem_prefix[run_ends + 1] - warp_rec_base
 
-    # Python-int packing (NumPy scalars are ~3x slower in the loop).
-    # Per-warp run lists are stored in reverse issue order, so the hot
-    # loop consumes them with O(1) ``list.pop()``.
-    lengths_l = run_lengths.tolist()
-    comp_l = comp_delta.tolist()
-    mem_lo_l = mem_lo_local.tolist()
-    mem_hi_l = mem_hi_local.tolist()
-    run_lo_l = warp_run_lo.tolist()
-    run_hi_l = warp_run_hi.tolist()
-    runs: List[List[Tuple[int, int, int, int]]] = []
-    for w in range(warp_count):
-        lo, hi = run_lo_l[w], run_hi_l[w]
-        packed = list(zip(lengths_l[lo:hi], comp_l[lo:hi],
-                          mem_lo_l[lo:hi], mem_hi_l[lo:hi]))
-        packed.reverse()
-        runs.append(packed)
-
-    # Pre-resolved per-line geometry: set indices, tags, DRAM channel
-    # and the LSU serialization offset of every coalesced transaction.
+    # Pre-resolved per-line geometry of the records' coalesced lines:
+    # set indices, tags, DRAM channel and LSU serialization offset.
     l1_bits, l1_sets, l2_bits, l2_sets, channels = geometry
-    lines = columnar.lines
+    line_offsets = columnar.line_offsets
+    rec_line_counts = np.diff(line_offsets)[mem_positions]
+    rec_line_start = _csr(rec_line_counts)
+    within = np.arange(rec_line_start[-1], dtype=np.int64) - np.repeat(
+        rec_line_start[:-1], rec_line_counts
+    )
+    lines = columnar.lines[
+        np.repeat(line_offsets[mem_positions], rec_line_counts) + within
+    ]
     shifted1 = lines >> l1_bits
     shifted2 = lines >> l2_bits
-    line_counts = np.diff(columnar.line_offsets)
-    tx_offsets = (
-        np.arange(len(lines), dtype=np.int64)
-        - np.repeat(columnar.line_offsets[:-1], line_counts)
-    ) * TRANSACTION_CYCLES
-    geom_all = list(
-        zip(
-            (shifted1 % l1_sets).tolist(),
-            (shifted1 // l1_sets).tolist(),
-            (shifted2 % l2_sets).tolist(),
-            (shifted2 // l2_sets).tolist(),
-            ((lines >> 7) % channels).tolist(),
-            tx_offsets.tolist(),
-        )
+    line_cols = (
+        shifted1 % l1_sets,
+        shifted1 // l1_sets,
+        shifted2 % l2_sets,
+        shifted2 // l2_sets,
+        (lines >> 7) % channels,
+        within * TRANSACTION_CYCLES,
     )
 
-    mem_positions_l = mem_positions.tolist()
-    mem_rel_global_l = mem_rel_global.tolist()
-    line_offsets_l = columnar.line_offsets.tolist()
-    bounds = warp_mem_start.tolist() + [len(mem_positions_l)]
-    mem_rel: List[List[int]] = []
-    mem_geom: List[List[List[Tuple[int, int, int, int, int, int]]]] = []
-    for w in range(warp_count):
-        lo, hi = bounds[w], bounds[w + 1]
-        mem_rel.append(mem_rel_global_l[lo:hi])
-        mem_geom.append(
-            [
-                geom_all[line_offsets_l[j]:line_offsets_l[j + 1]]
-                for j in mem_positions_l[lo:hi]
-            ]
-        )
-
-    mem_probes = None
-    if family == "gpushield":
+    has_probes = family == "gpushield"
+    rec_probe_start = np.zeros(1, dtype=np.int64)
+    probe_cols: Tuple[np.ndarray, ...] = (rec_probe_start,) * 5
+    if has_probes:
         entry_bytes = int(plan_key[1])
         rc_sets = int(plan_key[2])
-        metadata_base = GPUShieldTiming.METADATA_BASE
-        buffer_offsets_l = columnar.buffer_offsets.tolist()
-        buffers_l = columnar.buffers.tolist()
-        mem_probes = []
-        for w in range(warp_count):
-            lo, hi = bounds[w], bounds[w + 1]
-            probes_w = []
-            for j in mem_positions_l[lo:hi]:
-                ids = buffers_l[buffer_offsets_l[j]:buffer_offsets_l[j + 1]]
-                probe_list = []
-                # set() built from the same values in the same order as
-                # the reference model's `set(instr.buffer_ids)`, so the
-                # probe (and RCache state) sequence matches exactly.
-                for bid in set(ids):
-                    meta_line = metadata_base + bid * entry_bytes
-                    meta_shift = meta_line >> l2_bits
-                    probe_list.append(
-                        (
-                            bid % rc_sets,
-                            bid // rc_sets,
-                            meta_shift % l2_sets,
-                            meta_shift // l2_sets,
-                            (meta_line >> 7) % channels,
-                        )
-                    )
-                probes_w.append(tuple(probe_list))
-            mem_probes.append(probes_w)
+        buffer_offsets = columnar.buffer_offsets.tolist()
+        buffers = columnar.buffers.tolist()
+        # set() built from the same values in the same order as the
+        # reference model's `set(instr.buffer_ids)`, so the probe (and
+        # RCache state) sequence matches exactly.
+        probe_sets = [
+            set(buffers[buffer_offsets[j]:buffer_offsets[j + 1]])
+            for j in mem_positions.tolist()
+        ]
+        rec_probe_start = _csr([len(ids) for ids in probe_sets])
+        bids = np.fromiter(
+            chain.from_iterable(probe_sets),
+            dtype=np.int64,
+            count=int(rec_probe_start[-1]),
+        )
+        meta_lines = GPUShieldTiming.METADATA_BASE + bids * entry_bytes
+        meta_shift = meta_lines >> l2_bits
+        probe_cols = (
+            bids % rc_sets,
+            bids // rc_sets,
+            meta_shift % l2_sets,
+            meta_shift // l2_sets,
+            (meta_lines >> 7) % channels,
+        )
 
     return IssuePlan(
         total_instructions=n,
         extra_transactions=extra_transactions,
         lsu_serialization_cycles=TRANSACTION_CYCLES * extra_transactions,
-        runs=runs,
-        mem_rel=mem_rel,
-        mem_geom=mem_geom,
-        mem_probes=mem_probes,
+        warp_count=columnar.warp_count,
+        run_start=run_start,
+        run_length=_column(run_lengths),
+        run_comp=_column(comp_delta),
+        run_mem_lo=_column(run_mem_lo),
+        run_mem_hi=_column(run_mem_hi),
+        rec_base=_column(rec_base),
+        rec_rel=_column(rec_rel),
+        rec_line_start=rec_line_start,
+        line_cols=tuple(_column(c) for c in line_cols),
+        has_probes=has_probes,
+        rec_probe_start=rec_probe_start,
+        probe_cols=tuple(_column(c) for c in probe_cols),
     )
 
 
@@ -720,9 +789,7 @@ def run_columnar(
     line_cycles = dram.line_cycles
     tx = TRANSACTION_CYCLES
 
-    mem_rel_all = plan.mem_rel
-    mem_geom_all = plan.mem_geom
-    probes_all = plan.mem_probes
+    runs_all, mem_rel_all, mem_geom_all, probes_all = plan.python_tables
     gpushield = probes_all is not None
     probes_w = None
     rc_hits = rc_misses = p_l2_hits = p_l2_misses = 0
@@ -740,7 +807,7 @@ def run_columnar(
 
     # Per-simulation consumable copies of the (memoized) reversed
     # per-warp run lists.
-    runs_left = [list(r) for r in plan.runs]
+    runs_left = [list(r) for r in runs_all]
     warp_count = len(runs_left)
     finals = [0] * warp_count
     ready_mask = 0

@@ -16,8 +16,13 @@ Execution paths
 ---------------
 One oracle and one fast path.  Every run the columnar lowering
 understands is decoded into an :class:`~repro.sim.columnar.IssuePlan`
-and replayed by the generated C kernel (:mod:`repro.sim.native`), or
-by the pure-Python columnar issue loop when no kernel is available.
+— flat ``int64`` issue columns built straight from the trace's
+columnar arrays — and replayed by the generated C kernel
+(:mod:`repro.sim.native`), which reads those columns in place, or by
+the pure-Python columnar issue loop when no kernel is available.  The
+fast path never touches ``trace.warps``, so a trace loaded from
+``.npz`` reaches the kernel without building one
+:class:`~repro.sim.trace.TraceInstruction`.
 A run the plan cannot lower — a timing model that overrides a
 decode-relevant hook, or a GPUShield model whose RCache is a warm
 :class:`~repro.sim.cache.SetAssociativeCache` — runs the linear-scan
@@ -144,7 +149,7 @@ class SmSimulator:
         if plan is None:
             note_fallback("custom-model")
             return None
-        if plan.mem_probes is not None and not isinstance(
+        if plan.has_probes and not isinstance(
             getattr(self.model, "rcache", None), ArrayLruCache
         ):
             # GPUShield plans inline RCache probe rows; that needs the
@@ -174,7 +179,7 @@ class SmSimulator:
         plan = self._fast_plan(trace)
         if plan is None:
             return self._run_oracle(trace)
-        if not plan.runs:
+        if plan.warp_count == 0:
             raise SimulationError("trace has no warps")
         stats = SimStats()
         telem, events, every, phase = self._fast_telemetry(trace)

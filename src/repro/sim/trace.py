@@ -27,11 +27,11 @@ from ..common.errors import MemorySpace, TraceFormatError
 _TRACE_MEMO_ATTR = "_repro_trace_memo"
 
 #: Default cap on derived-data entries memoised per trace.  A fig12-
-#: style sweep needs one columnar conversion, one issue plan per
-#: timing-model family and one expansion per rewriting model — well
-#: under the cap — while pathological callers (e.g. a parameter sweep
-#: over ``BaggyBoundsTiming(instructions_per_check=n)``) can no longer
-#: grow an unbounded dict on a cached trace.
+#: style sweep needs one issue plan per timing-model family and one
+#: expansion per rewriting model — well under the cap — while
+#: pathological callers (e.g. a parameter sweep over
+#: ``BaggyBoundsTiming(instructions_per_check=n)``) can no longer grow
+#: an unbounded dict on a cached trace.
 TRACE_MEMO_CAPACITY = 16
 
 
@@ -149,7 +149,6 @@ class TraceInstruction:
             raise TraceFormatError("memory ops need at least one buffer id")
 
 
-@dataclass
 class KernelTrace:
     """Per-warp instruction streams for one kernel.
 
@@ -158,10 +157,58 @@ class KernelTrace:
     are computed once and cached on the instance — invalidation-free.
     Cached values are copied on the way out, so callers may mutate the
     returned dicts freely.
+
+    A trace has two forms.  ``warps`` is the object form the oracle
+    and the trace writers walk; ``columnar`` is the
+    :class:`~repro.sim.columnar.ColumnarTrace` the fast path decodes
+    (``None`` until :func:`~repro.sim.columnar.columnar_of` derives
+    it).  :meth:`from_columnar` builds a trace columnar-first: its
+    ``warps`` are materialized from the columns on first access only,
+    so a trace loaded from ``.npz`` and simulated on the fast path
+    never builds a :class:`TraceInstruction`.
     """
 
-    name: str
-    warps: List[List[TraceInstruction]] = field(default_factory=list)
+    def __init__(
+        self,
+        name: str,
+        warps: Optional[List[List[TraceInstruction]]] = None,
+    ) -> None:
+        self.name = name
+        self._warps: Optional[List[List[TraceInstruction]]] = (
+            [] if warps is None else warps
+        )
+        #: The columnar form (a ``ColumnarTrace``), once known.
+        self.columnar = None
+
+    @classmethod
+    def from_columnar(cls, columnar) -> "KernelTrace":
+        """A trace over *columnar* whose warps are built on demand."""
+        trace = cls(columnar.name)
+        trace._warps = None
+        trace.columnar = columnar
+        return trace
+
+    @property
+    def warps(self) -> List[List[TraceInstruction]]:
+        """Per-warp instruction streams (materialized on first access)."""
+        if self._warps is None:
+            self._warps = self.columnar.to_warps()
+        return self._warps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelTrace):
+            return NotImplemented
+        return self.name == other.name and self.warps == other.warps
+
+    def __repr__(self) -> str:
+        return f"KernelTrace(name={self.name!r}, warps={self.warps!r})"
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Pickles written when ``warps`` was a plain dataclass field.
+        if "warps" in state:
+            state["_warps"] = state.pop("warps")
+        state.setdefault("columnar", None)
+        self.__dict__.update(state)
 
     def _summaries(self) -> Dict[str, Any]:
         cache = getattr(self, "_summary_cache", None)

@@ -18,15 +18,19 @@ Next to the JSON-lines form there is a **columnar ``.npz`` format**
 :class:`~repro.sim.columnar.ColumnarTrace` arrays plus a versioned
 header, written with ``np.savez_compressed``.  It is the on-disk shape
 the trace cache and the parallel experiment engine ship between
-processes — loading it seeds the trace's columnar memo, so a follow-up
-simulation pays no dataclass→array conversion.
+processes.  Loading it builds no per-instruction objects: the arrays
+become the trace's columnar form, which the simulator's fast path
+decodes as is, and the loader validates the record rules on the whole
+columns (the generated kernels index through them unchecked).
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 from typing import BinaryIO, List, TextIO, Union
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -39,17 +43,18 @@ FORMAT_VERSION = 1
 #: Format identifier of the columnar ``.npz`` container.
 NPZ_FORMAT_VERSION = 1
 
-#: Column names stored in the ``.npz`` container, in schema order.
-_NPZ_COLUMNS = (
-    "ops",
-    "depends",
-    "checked",
-    "warp_offsets",
-    "line_offsets",
-    "lines",
-    "buffer_offsets",
-    "buffers",
-)
+#: Columns stored in the ``.npz`` container with their dtypes, in
+#: schema order.
+_NPZ_COLUMNS = {
+    "ops": np.uint8,
+    "depends": np.bool_,
+    "checked": np.bool_,
+    "warp_offsets": np.int64,
+    "line_offsets": np.int64,
+    "lines": np.int64,
+    "buffer_offsets": np.int64,
+    "buffers": np.int64,
+}
 
 
 def _encode_instruction(instr: TraceInstruction) -> list:
@@ -174,36 +179,55 @@ def dump_trace_npz(
 def load_trace_npz(source: Union[str, Path, BinaryIO]) -> KernelTrace:
     """Read a trace written by :func:`dump_trace_npz`.
 
-    The returned :class:`KernelTrace` has its columnar memo pre-seeded,
-    so simulating it under the columnar engine performs no
-    dataclass→array conversion.
+    The returned :class:`KernelTrace` is columnar-first: the fast path
+    decodes its arrays directly, and its ``warps`` are materialized
+    only when something asks for them (the oracle, the JSON-lines
+    writer, ``==``).  Since no :class:`TraceInstruction` checks the
+    records at load, :class:`~repro.sim.columnar.ColumnarTrace`
+    enforces their rules on the whole columns; any unreadable,
+    truncated, corrupt or rule-breaking container raises
+    :class:`TraceFormatError`.
     """
     from .columnar import ColumnarTrace
 
     try:
-        with np.load(source, allow_pickle=False) as archive:
+        archive = np.load(source, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise TraceFormatError("not an npz container")
+        with archive:
             if "header" not in archive:
                 raise TraceFormatError("npz trace missing header")
             try:
                 header = json.loads(bytes(archive["header"]).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise TraceFormatError("unparsable npz trace header") from error
-            if header.get("format") != NPZ_FORMAT_VERSION:
+            if not isinstance(header, dict):
+                header = {}
+            version = header.get("format")
+            if version != NPZ_FORMAT_VERSION:
                 raise TraceFormatError(
-                    f"unsupported npz trace format {header.get('format')!r}"
+                    f"unsupported npz trace format {version!r}"
                 )
             missing = [c for c in _NPZ_COLUMNS if c not in archive]
             if missing:
                 raise TraceFormatError(
                     f"npz trace missing columns: {missing}"
                 )
-            columnar = ColumnarTrace(
-                name=str(header.get("name", "trace")),
-                **{
-                    name: np.ascontiguousarray(archive[name])
-                    for name in _NPZ_COLUMNS
-                },
-            )
-    except (OSError, ValueError, KeyError) as error:
+            columns = {}
+            for name, dtype in _NPZ_COLUMNS.items():
+                column = archive[name]
+                if column.ndim != 1 or column.dtype != dtype:
+                    raise TraceFormatError(
+                        f"npz trace column {name!r} must be 1-D "
+                        f"{np.dtype(dtype).name}, not {column.ndim}-D "
+                        f"{column.dtype.name}"
+                    )
+                columns[name] = np.ascontiguousarray(column)
+    except (
+        OSError, ValueError, KeyError, EOFError, BadZipFile, zlib.error,
+        NotImplementedError,  # zipfile: unknown compression method
+    ) as error:
         raise TraceFormatError(f"unreadable npz trace: {error}") from error
-    return columnar.to_trace()
+    return ColumnarTrace(
+        name=str(header.get("name", "trace")), **columns
+    ).to_trace()

@@ -40,6 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ..common.errors import TraceFormatError
 from ..sim.trace import KernelTrace
 from ..sim.tracefile import dump_trace_npz, load_trace_npz
 from .profiles import BenchmarkProfile, profile
@@ -192,11 +193,11 @@ class TraceCache:
             return None
         if os.path.exists(path):
             try:
-                # Loading an .npz pre-seeds the trace's columnar memo,
-                # so the simulator's plan decode starts from the same
-                # arrays that crossed the process boundary.
+                # A columnar-first trace: the simulator's plan decode
+                # starts from the arrays as loaded, and no instruction
+                # objects are built unless the oracle asks for them.
                 return load_trace_npz(path)
-            except Exception:
+            except TraceFormatError:
                 return None  # corrupt/foreign entry: fall back
         legacy = self._legacy_path(key)
         if legacy is None or not os.path.exists(legacy):

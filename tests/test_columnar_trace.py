@@ -266,6 +266,29 @@ def test_legacy_pickle_loads_with_deprecation_and_upgrades(tmp_path):
     assert again.warps == trace.warps
 
 
+def test_dataclass_era_pickle_loads(tmp_path, monkeypatch):
+    """Pickles from when ``warps`` was a plain dataclass field (the
+    state dict holds ``warps``, not ``_warps``) still load and upgrade."""
+    trace = synthesize_trace("needle", warps=2, instructions_per_warp=90)
+    key = trace_key(profile("needle"), warps=2, instructions_per_warp=90)
+    monkeypatch.setattr(
+        KernelTrace,
+        "__getstate__",
+        lambda self: {"name": self.name, "warps": self.warps},
+        raising=False,
+    )
+    with open(tmp_path / f"trace-{key}.pkl", "wb") as handle:
+        pickle.dump(trace, handle)
+    monkeypatch.undo()
+    cache = TraceCache(disk_dir=str(tmp_path))
+    with pytest.deprecated_call(match="legacy pickle"):
+        loaded = cache.get_or_synthesize(
+            "needle", warps=2, instructions_per_warp=90
+        )
+    assert loaded == trace
+    assert (tmp_path / f"trace-{key}.npz").exists()
+
+
 # ----------------------------------------------------------------------
 # Vectorized Baggy Bounds expansion ≡ dataclass expansion.
 

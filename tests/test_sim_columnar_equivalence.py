@@ -15,7 +15,8 @@ Coverage:
   scan loop over the simulator's own array-backed caches);
 * a seeded differential fuzzer over random synthetic traces, cache
   geometries, all four mechanisms and one opaque model, on both the
-  native path and ``REPRO_SIM_NATIVE=0``;
+  native path and ``REPRO_SIM_NATIVE=0``, each trace both as objects
+  and as its columnar-first ``.npz`` round trip;
 * warm-run parity (cache/DRAM state carried across runs);
 * edge shapes the grid cannot hit: empty warp streams, >64-warp traces
   (past the native executor's bitmask width), ``hit_latency=1``
@@ -27,6 +28,7 @@ Coverage:
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -42,6 +44,8 @@ from repro.sim import (
     OpClass,
     SmSimulator,
     TraceInstruction,
+    dump_trace_npz,
+    load_trace_npz,
     native_available,
 )
 from repro.sim.columnar import ColumnarTrace, expanded_columnar
@@ -366,19 +370,29 @@ _TIGHT_CONFIG = GpuConfig(
 def test_differential_fuzz_against_oracle(trace, config):
     """Random traces × cache geometries × every mechanism (plus one
     opaque model): both fast paths must match the oracle in cycles,
-    SimStats, L1/L2/RCache counters and DRAM state."""
+    SimStats, L1/L2/RCache counters and DRAM state — on the object
+    trace and on its columnar-first ``.npz`` round trip, whose warps
+    the fast path must never materialize."""
     native_modes = ("1", "0") if native_available() else ("0",)
+    container = io.BytesIO()
+    dump_trace_npz(trace, container)
     for name in _FUZZ_MODELS:
         ref = ReferenceSmSimulator(config, _fuzz_model(name))
         want = ref.run(trace)
+        container.seek(0)
+        loaded = load_trace_npz(container)
         for native in native_modes:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setenv(NATIVE_ENV, native)
-                sim = SmSimulator(config, _fuzz_model(name))
-                got = sim.run(trace)
-            assert got.cycles == want.cycles, (name, native)
-            assert got.stats == want.stats, (name, native)
-            assert _state(sim) == _state(ref), (name, native)
+            for source, form in ((trace, "object"), (loaded, "npz")):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setenv(NATIVE_ENV, native)
+                    sim = SmSimulator(config, _fuzz_model(name))
+                    got = sim.run(source)
+                case = (name, native, form)
+                assert got.cycles == want.cycles, case
+                assert got.stats == want.stats, case
+                assert _state(sim) == _state(ref), case
+        if name != "opaque":  # the opaque model runs the oracle's scan
+            assert loaded._warps is None, name
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,12 @@ from repro.sim import (
     OpClass,
     TraceInstruction,
     dump_trace,
+    dump_trace_npz,
     load_trace,
+    load_trace_npz,
     simulate,
 )
-from repro.workloads import synthesize_trace
+from repro.workloads import TraceCache, profile, synthesize_trace, trace_key
 
 
 def _mem(line, depends=False, buffer_id=0):
@@ -157,3 +160,146 @@ class TestTraceFile:
         dump_trace(trace, buffer)
         buffer.seek(0)
         assert load_trace(buffer).warps == trace.warps
+
+
+# ----------------------------------------------------------------------
+# The .npz load boundary: no TraceInstruction checks the records of a
+# loaded trace, and the generated kernels index through its offsets
+# unchecked, so the loader itself must refuse every malformed entry —
+# and the trace cache must then re-synthesize.
+
+#: Two warps: [INT, LDG(2 lines, buffer 5), FP] and
+#: [INT checked, STG(1 line, buffers 1 and 2)].
+_NPZ_TRACE = KernelTrace(
+    name="npz",
+    warps=[
+        [
+            TraceInstruction(op=OpClass.INT),
+            TraceInstruction(
+                op=OpClass.LDG, lines=(0, 128), buffer_ids=(5,)
+            ),
+            TraceInstruction(op=OpClass.FP, depends=True),
+        ],
+        [
+            TraceInstruction(op=OpClass.INT, checked=True),
+            TraceInstruction(op=OpClass.STG, lines=(256,), buffer_ids=(1, 2)),
+        ],
+    ],
+)
+
+_CACHE_REQUEST = ("gaussian", 2, 50)
+
+
+def _cache_entry(tmp_path):
+    """Path of the trace-cache entry for :data:`_CACHE_REQUEST`."""
+    name, warps, per_warp = _CACHE_REQUEST
+    key = trace_key(profile(name), warps=warps, instructions_per_warp=per_warp)
+    return tmp_path / f"trace-{key}.npz"
+
+
+def _assert_cache_resynthesizes(tmp_path):
+    name, warps, per_warp = _CACHE_REQUEST
+    cache = TraceCache(disk_dir=str(tmp_path))
+    trace = cache.get_or_synthesize(
+        name, warps=warps, instructions_per_warp=per_warp
+    )
+    assert cache.stats.disk_hits == 0
+    assert trace == synthesize_trace(
+        name, warps=warps, instructions_per_warp=per_warp
+    )
+
+
+def _set(column, index, value):
+    def mutate(payload):
+        payload[column][index] = value
+    return mutate
+
+
+def _replace(column, values):
+    def mutate(payload):
+        payload[column] = np.asarray(values, dtype=payload[column].dtype)
+    return mutate
+
+
+def _retype(column, dtype):
+    def mutate(payload):
+        payload[column] = payload[column].astype(dtype)
+    return mutate
+
+
+#: One violated rule per case: (id, mutation, message pattern).  The
+#: base columns are ops [0, 2, 1, 0, 3], warp_offsets [0, 3, 5],
+#: line_offsets [0, 0, 2, 2, 2, 3], buffer_offsets [0, 1, 2, 3, 4, 6].
+_BAD_NPZ = [
+    ("op-code-past-7", _set("ops", 2, 8), "op code out of range"),
+    ("warp-offsets-start", _replace("warp_offsets", [1, 3, 5]),
+     "warp offsets must run from 0"),
+    ("warp-offsets-decrease", _replace("warp_offsets", [0, 4, 3, 5]),
+     "warp offsets must not decrease"),
+    ("line-offsets-decrease",
+     _replace("line_offsets", [0, 0, 2, 1, 2, 3]),
+     "line offsets must not decrease"),
+    ("buffer-offsets-end", _replace("buffer_offsets", [0, 1, 2, 3, 4, 7]),
+     "buffer offsets must run from 0 to 6"),
+    ("checked-not-int", _set("checked", 1, True), "only INT ops"),
+    ("alu-with-lines", _replace("line_offsets", [0, 1, 2, 2, 2, 3]),
+     "ALU ops cannot carry"),
+    ("memory-without-lines", _set("ops", 2, 2), "at least one transaction"),
+    ("memory-without-buffers",
+     _replace("buffer_offsets", [0, 2, 2, 3, 4, 6]),
+     "at least one buffer id"),
+    ("wrong-dtype", _retype("ops", np.int64), "must be 1-D uint8"),
+]
+
+
+def _write_bad_npz(path, mutate):
+    buffer = io.BytesIO()
+    dump_trace_npz(_NPZ_TRACE, buffer)
+    buffer.seek(0)
+    with np.load(buffer) as archive:
+        payload = {name: archive[name].copy() for name in archive.files}
+    mutate(payload)
+    np.savez_compressed(path, **payload)
+
+
+class TestNpzLoadBoundary:
+    def test_hand_built_trace_loads(self, tmp_path):
+        path = tmp_path / "good.npz"
+        _write_bad_npz(path, lambda payload: None)
+        assert load_trace_npz(path) == _NPZ_TRACE
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [case[1:] for case in _BAD_NPZ],
+        ids=[case[0] for case in _BAD_NPZ],
+    )
+    def test_rule_violation_rejected(self, tmp_path, mutate, message):
+        path = _cache_entry(tmp_path)
+        _write_bad_npz(path, mutate)
+        with pytest.raises(TraceFormatError, match=message):
+            load_trace_npz(path)
+        _assert_cache_resynthesizes(tmp_path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped", "npy"])
+    def test_damaged_dump_rejected(self, tmp_path, damage):
+        """A real cache entry cut short, with one flipped byte or
+        replaced by a bare ``.npy`` array raises the contract's
+        TraceFormatError, not a zipfile/zlib/TypeError."""
+        name, warps, per_warp = _CACHE_REQUEST
+        TraceCache(disk_dir=str(tmp_path)).get_or_synthesize(
+            name, warps=warps, instructions_per_warp=per_warp
+        )
+        path = _cache_entry(tmp_path)
+        data = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del data[len(data) // 2:]
+        elif damage == "bit-flipped":
+            data[len(data) // 2] ^= 0xFF  # inside a deflated member
+        else:
+            buffer = io.BytesIO()
+            np.save(buffer, np.arange(8))
+            data = buffer.getvalue()
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError):
+            load_trace_npz(path)
+        _assert_cache_resynthesizes(tmp_path)
